@@ -35,20 +35,6 @@ std::optional<Value> KvStore::GetAtSnapshot(const Key& key,
   return std::nullopt;  // key born after the snapshot
 }
 
-void KvStore::PutAt(const Key& key, int64_t csn, Value value,
-                    int64_t gc_watermark) {
-  Chain& chain = map_[key];
-  if (!chain.empty() && chain.back().csn >= csn) {
-    // Same-commit second op, or a non-transactional head overwrite: the
-    // chain gains no version and CSN order stays strict.
-    chain.back().value = std::move(value);
-  } else {
-    chain.push_back(Version{csn, std::move(value)});
-    ++total_versions_;
-  }
-  if (gc_watermark > 0) total_versions_ -= PruneChain(chain, gc_watermark);
-}
-
 void KvStore::Put(const Key& key, Value value) {
   Chain& chain = map_[key];
   if (chain.empty()) {
@@ -68,17 +54,32 @@ bool KvStore::Erase(const Key& key) {
 }
 
 void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
-  switch (op.type) {
-    case Op::Type::kGet:
-      break;
-    case Op::Type::kPut:
-      PutAt(op.key, csn, op.value, gc_watermark);
-      break;
-    case Op::Type::kAdd:
-      PutAt(op.key, csn, std::to_string(GetInt(op.key) + op.delta),
-            gc_watermark);
-      break;
+  if (op.type == Op::Type::kGet) return;  // reads mutate nothing
+  // One probe: the kAdd base and the write both come from this chain.
+  Chain& chain = map_[op.key];
+  Value value;
+  if (op.type == Op::Type::kPut) {
+    value = op.value;
+  } else {
+    int64_t base = chain.empty() ? 0 : ParseInt(chain.back().value);
+    value = std::to_string(base + op.delta);
   }
+  if (!chain.empty() && chain.back().csn >= csn) {
+    // Same-commit second op, or a non-transactional head overwrite: the
+    // chain gains no version and CSN order stays strict.
+    chain.back().value = std::move(value);
+  } else if (chain.empty() || gc_watermark < csn) {
+    chain.push_back(Version{csn, std::move(value)});
+    ++total_versions_;
+  } else {
+    // The new version is the watermark base, so no reader can reach any
+    // older one: overwrite the chain in place, leaving exactly what
+    // appending and pruning would, without the reallocation.
+    total_versions_ -= static_cast<int64_t>(chain.size()) - 1;
+    chain.erase(chain.begin() + 1, chain.end());
+    chain.front() = Version{csn, std::move(value)};
+  }
+  if (gc_watermark > 0) total_versions_ -= PruneChain(chain, gc_watermark);
 }
 
 int64_t KvStore::AddInt(const Key& key, int64_t delta) {

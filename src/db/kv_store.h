@@ -49,9 +49,12 @@ class KvStore {
   /// nothing). A second op of the same transaction on the same key updates
   /// the same version in place — the chain gains exactly one version per
   /// (key, commit). After writing, the touched chain is pruned to
-  /// `gc_watermark` (see Truncate); pass 0 to keep everything. The single
-  /// write-application site both concurrency modes' Finish paths share, so
-  /// commit semantics cannot drift between them.
+  /// `gc_watermark` (see Truncate); pass 0 to keep everything. When the
+  /// watermark is at or above `csn` (no live reader below the commit) the
+  /// new version replaces the whole chain in place: one hash probe, no
+  /// reallocation. The single write-application site both concurrency
+  /// modes' Finish paths share, so commit semantics cannot drift between
+  /// them.
   void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0);
 
   /// Interprets the newest value (or 0 if absent) as an int64, adds
@@ -95,10 +98,6 @@ class KvStore {
   };
   using Chain = std::vector<Version>;
 
-  /// Writes `value` as the version at `csn`: in-place when the head is at
-  /// `csn` or newer (same-transaction second op, or a non-transactional
-  /// overwrite), appended otherwise.
-  void PutAt(const Key& key, int64_t csn, Value value, int64_t gc_watermark);
   /// Prunes one chain to `watermark` (see Truncate); returns drops.
   int64_t PruneChain(Chain& chain, int64_t watermark);
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -43,7 +42,12 @@ struct Event {
 /// Deterministic priority queue of events ordered by (time, class, insertion
 /// sequence). Determinism of the third key makes every execution of a given
 /// configuration bitwise reproducible, which the lower-bound style tests rely
-/// on when constructing indistinguishable executions.
+/// on when constructing indistinguishable executions. The order is strict
+/// and total, so the heap layout never influences which event pops next.
+///
+/// The heap is a plain vector under std::push_heap/std::pop_heap, so Pop
+/// moves the earliest event out: an event's closure is never copied
+/// between Push and its execution.
 ///
 /// Cancellation: PushCancellable returns an EventId; Cancel removes the
 /// event logically. Removal is lazy (the heap entry stays until it reaches
@@ -74,9 +78,10 @@ class EventQueue {
   /// already-executed event, or a repeated cancel.
   bool Cancel(EventId id);
 
-  /// Removes and returns the earliest live event. FC_CHECKs that a live
-  /// event exists — a queue whose every remaining entry was cancelled is
-  /// empty, and popping it must fail loudly, not read a drained heap.
+  /// Removes and returns (by move) the earliest live event. FC_CHECKs that
+  /// a live event exists — a queue whose every remaining entry was
+  /// cancelled is empty, and popping it must fail loudly, not read a
+  /// drained heap.
   Event Pop();
 
   /// True when no *live* events remain (cancelled entries do not count).
@@ -92,10 +97,12 @@ class EventQueue {
   Time PeekTime() const {
     Prune();
     FC_CHECK(!heap_.empty()) << "PeekTime() on a queue with no live events";
-    return heap_.top().at;
+    return heap_.front().at;
   }
 
  private:
+  /// Heap comparator: std::*_heap keep the greatest element first, so
+  /// "greater" means later and the front is the earliest event.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -111,7 +118,7 @@ class EventQueue {
 
   /// seq doubles as the cancellation handle, so it starts at 1 and 0 stays
   /// free for kNoEvent.
-  mutable std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  mutable std::vector<Event> heap_;
   uint64_t next_seq_ = 1;
   Time last_popped_at_ = 0;
   /// Cancellable events still in the heap, and those of them cancelled but

@@ -89,6 +89,91 @@ TEST(KvStoreMvccTest, ApplyPrunesTheTouchedChainIncrementally) {
   store.CheckInvariants();
 }
 
+TEST(KvStoreMvccTest, ApplyAtCoveringWatermarkCollapsesTheChain) {
+  KvStore store;
+  store.Put("other", "x");
+  for (int64_t csn = 1; csn <= 4; ++csn) {
+    store.Apply(Transaction::Put("k", "v" + std::to_string(csn)), csn);
+    store.CheckInvariants();
+  }
+  ASSERT_EQ(store.versions("k"), 4);
+  ASSERT_EQ(store.total_versions(), 5);
+  // No reader below CSN 5: the new version is the only one left, and the
+  // counter drops by the three versions that vanished.
+  store.Apply(Transaction::Put("k", "v5"), /*csn=*/5, /*gc_watermark=*/5);
+  store.CheckInvariants();
+  EXPECT_EQ(store.versions("k"), 1);
+  EXPECT_EQ(store.total_versions(), 2);
+  EXPECT_EQ(store.Get("k"), "v5");
+  EXPECT_EQ(store.GetAtSnapshot("k", 5), "v5");
+  EXPECT_EQ(store.GetAtSnapshot("k", 4), std::nullopt);
+  // A watermark strictly above the CSN collapses a kAdd the same way.
+  store.Apply(Transaction::Put("k", "10"), /*csn=*/6);
+  store.Apply(Transaction::Add("k", 5), /*csn=*/7, /*gc_watermark=*/9);
+  store.CheckInvariants();
+  EXPECT_EQ(store.versions("k"), 1);
+  EXPECT_EQ(store.total_versions(), 2);
+  EXPECT_EQ(store.GetIntAtSnapshot("k", 7), 15);
+}
+
+TEST(KvStoreMvccTest, ApplyBelowTheCsnKeepsTheReadersBase) {
+  KvStore store;
+  store.Apply(Transaction::Put("k", "v1"), /*csn=*/1);
+  store.Apply(Transaction::Put("k", "v2"), /*csn=*/2);
+  store.CheckInvariants();
+  // A live reader at CSN 2 holds the watermark there: v2 stays readable as
+  // its base, only v1 (below the base) may go.
+  store.Apply(Transaction::Put("k", "v3"), /*csn=*/3, /*gc_watermark=*/2);
+  store.CheckInvariants();
+  EXPECT_EQ(store.versions("k"), 2);
+  EXPECT_EQ(store.total_versions(), 2);
+  EXPECT_EQ(store.GetAtSnapshot("k", 2), "v2");
+  EXPECT_EQ(store.GetAtSnapshot("k", 3), "v3");
+  // The kAdd base is the head, not the reader's version.
+  store.Apply(Transaction::Put("n", "100"), /*csn=*/3);
+  store.Apply(Transaction::Add("n", 7), /*csn=*/4, /*gc_watermark=*/3);
+  store.CheckInvariants();
+  EXPECT_EQ(store.GetIntAtSnapshot("n", 3), 100);
+  EXPECT_EQ(store.GetIntAtSnapshot("n", 4), 107);
+  EXPECT_EQ(store.versions("n"), 2);
+}
+
+TEST(KvStoreMvccTest, SameCommitAddsStackIntoOneVersion) {
+  KvStore store;
+  store.Apply(Transaction::Put("k", "10"), /*csn=*/1);
+  store.Apply(Transaction::Put("k", "20"), /*csn=*/2);
+  store.CheckInvariants();
+  // Both watermark regimes: a live reader (1) and none (3 >= CSN).
+  for (int64_t watermark : {int64_t{1}, int64_t{3}}) {
+    KvStore copy = store;
+    copy.Apply(Transaction::Add("k", 4), /*csn=*/3, watermark);
+    copy.CheckInvariants();
+    copy.Apply(Transaction::Add("k", -1), /*csn=*/3, watermark);
+    copy.CheckInvariants();
+    EXPECT_EQ(copy.Get("k"), "23") << "watermark " << watermark;
+    EXPECT_EQ(copy.GetIntAtSnapshot("k", 2), watermark < 2 ? 20 : 0);
+    EXPECT_EQ(copy.versions("k"), watermark < 2 ? 3 : 1);
+    EXPECT_EQ(copy.total_versions(), copy.versions("k"));
+  }
+}
+
+TEST(KvStoreMvccTest, AddOnAnAbsentKeyCreatesItAtTheCommitCsn) {
+  KvStore store;
+  store.Apply(Transaction::Add("fresh", -42), /*csn=*/8, /*gc_watermark=*/8);
+  store.CheckInvariants();
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.versions("fresh"), 1);
+  EXPECT_EQ(store.total_versions(), 1);
+  EXPECT_EQ(store.GetInt("fresh"), -42);
+  EXPECT_EQ(store.GetAtSnapshot("fresh", 7), std::nullopt);  // born at 8
+  EXPECT_EQ(store.GetIntAtSnapshot("fresh", 8), -42);
+  // A read op creates nothing.
+  store.Apply(Transaction::Get("ghost"), /*csn=*/9, /*gc_watermark=*/9);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.versions("ghost"), 0);
+  store.CheckInvariants();
+}
+
 TEST(ParticipantSnapshotTest, ReadAtSnapshotTouchesNoConcurrencyState) {
   Participant p(0, ConcurrencyMode::k2PL);
   p.Finish(7, commit::Decision::kCommit);  // no-op warmup

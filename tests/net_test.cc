@@ -99,7 +99,7 @@ class NetworkTest : public ::testing::Test {
       network_->RegisterHandler(
           i, [this, i](ProcessId from, const Message& m) {
             received_[static_cast<size_t>(i)].push_back(
-                {from, m.kind, simulator_.Now()});
+                {from, m.kind, simulator_.Now(), m});
           });
     }
   }
@@ -108,6 +108,7 @@ class NetworkTest : public ::testing::Test {
     ProcessId from;
     int kind;
     sim::Time at;
+    Message msg;
   };
 
   sim::Simulator simulator_;
@@ -147,16 +148,6 @@ TEST_F(NetworkTest, CrashedSenderSendsNothing) {
   EXPECT_EQ(network_->stats().total_sent(), 0);
 }
 
-TEST_F(NetworkTest, MessageInFlightToCrashedReceiverIsDropped) {
-  Wire(2);
-  network_->Send(0, 1, Message{});
-  simulator_.ScheduleAt(50, sim::EventClass::kCrash,
-                        [this] { network_->Crash(1); });
-  simulator_.Run();
-  EXPECT_TRUE(received_[1].empty());
-  ASSERT_EQ(network_->stats().records().size(), 1u);
-  EXPECT_TRUE(network_->stats().records()[0].dropped);
-}
 
 TEST_F(NetworkTest, EveryMessageToCorrectProcessIsEventuallyDelivered) {
   Wire(3);
@@ -165,6 +156,76 @@ TEST_F(NetworkTest, EveryMessageToCorrectProcessIsEventuallyDelivered) {
   simulator_.Run();
   EXPECT_EQ(received_[1].size(), 15u);
   EXPECT_EQ(network_->stats().DeliveredBy(simulator_.Now()), 15);
+}
+
+Message MultiIntMessage() {
+  Message m;
+  m.channel = Channel::kConsensus;
+  m.kind = 4;
+  m.value = -17;
+  for (int64_t v = 0; v < 9; ++v) AppendPair(&m, v, v * 1000 + 3);
+  return m;
+}
+
+void ExpectSamePayload(const Message& got, const Message& want) {
+  EXPECT_EQ(got.channel, want.channel);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.ints, want.ints);
+}
+
+TEST_F(NetworkTest, MessageInFlightToCrashedReceiverIsDropped) {
+  Wire(3);
+  network_->Send(0, 1, MultiIntMessage());
+  network_->Send(0, 2, MultiIntMessage());
+  simulator_.ScheduleAt(50, sim::EventClass::kCrash,
+                        [this] { network_->Crash(1); });
+  simulator_.Run();
+  EXPECT_TRUE(received_[1].empty());
+  ASSERT_EQ(received_[2].size(), 1u);
+  ExpectSamePayload(received_[2][0].msg, MultiIntMessage());
+  const auto& records = network_->stats().records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_TRUE(records[0].dropped);
+  EXPECT_EQ(records[0].received_at, 100);  // the would-be delivery instant
+  EXPECT_FALSE(records[1].dropped);
+  EXPECT_EQ(network_->stats().DeliveredBy(simulator_.Now()), 1);
+}
+
+TEST_F(NetworkTest, MultiIntPayloadArrivesIntactRemoteAndLocal) {
+  Wire(2);
+  simulator_.ScheduleAt(30, sim::EventClass::kControl, [this] {
+    network_->Send(0, 1, MultiIntMessage());
+    network_->Send(1, 1, MultiIntMessage());  // local step
+  });
+  simulator_.Run();
+  ASSERT_EQ(received_[1].size(), 2u);
+  EXPECT_EQ(received_[1][0].from, 1);
+  EXPECT_EQ(received_[1][0].at, 30);  // same instant as the send
+  ExpectSamePayload(received_[1][0].msg, MultiIntMessage());
+  EXPECT_EQ(received_[1][1].from, 0);
+  EXPECT_EQ(received_[1][1].at, 130);
+  ExpectSamePayload(received_[1][1].msg, MultiIntMessage());
+  EXPECT_EQ(network_->stats().total_sent(), 1);  // the local step is free
+}
+
+TEST_F(NetworkTest, DeliverySentBeforeResetEpochIsDropped) {
+  Wire(2);
+  network_->Send(0, 1, MultiIntMessage());  // remote, lands at t=100
+  network_->Send(0, 0, MultiIntMessage());  // local step, lands at t=0
+  network_->ResetEpoch();
+  simulator_.Run();
+  EXPECT_TRUE(received_[0].empty());
+  EXPECT_TRUE(received_[1].empty());
+  // The old epoch's send rolled into the lifetime total; the new epoch
+  // has no records, so nothing is marked delivered or dropped.
+  EXPECT_EQ(network_->stats().total_sent(), 0);
+  EXPECT_EQ(network_->stats().lifetime_sent(), 1);
+  // A send of the new epoch is delivered normally.
+  network_->Send(0, 1, MultiIntMessage());
+  simulator_.Run();
+  ASSERT_EQ(received_[1].size(), 1u);
+  ExpectSamePayload(received_[1][0].msg, MultiIntMessage());
 }
 
 TEST_F(NetworkTest, CrashCountTracksCrashes) {

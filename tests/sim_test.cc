@@ -109,6 +109,37 @@ TEST(EventQueueTest, HandlesAreNeverReusedAcrossPopAndCancel) {
   EXPECT_FALSE(q.Cancel(second)) << "executed handle is dead too";
 }
 
+// Callable that counts how often it (or any copy of it) is copied.
+struct CopyCounter {
+  int* copies;
+  int* runs;
+  CopyCounter(int* c, int* r) : copies(c), runs(r) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  void operator()() const { ++*runs; }
+};
+
+TEST(EventQueueTest, PopMovesTheClosureOut) {
+  // Pop must hand the event over by move: a closure capturing a whole
+  // message or pending transaction is never copied on its way to running.
+  EventQueue q;
+  int copies = 0;
+  int runs = 0;
+  // Enough events that the heap sifts every closure several times.
+  for (int i = 0; i < 64; ++i) {
+    q.Push((i * 37) % 64, EventClass::kDelivery, CopyCounter(&copies, &runs));
+  }
+  int copies_at_push = copies;
+  while (!q.empty()) q.Pop().fn();
+  EXPECT_EQ(runs, 64);
+  EXPECT_EQ(copies, copies_at_push) << "Pop or dispatch copied a closure";
+}
+
 TEST(EventQueueTest, AllCancelledQueueReadsAsEmpty) {
   // The all-cancelled edge: every remaining heap entry is a cancelled
   // timer. The queue must read as drained — empty() true, zero size — and
