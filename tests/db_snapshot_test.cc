@@ -11,7 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "commit/commit_protocol.h"
@@ -21,6 +26,7 @@
 #include "db/traffic.h"
 #include "db/transaction.h"
 #include "db/workload.h"
+#include "sim/rng.h"
 
 namespace fastcommit::db {
 namespace {
@@ -172,6 +178,179 @@ TEST(KvStoreMvccTest, AddOnAnAbsentKeyCreatesItAtTheCommitCsn) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.versions("ghost"), 0);
   store.CheckInvariants();
+}
+
+// Reference model of the documented chain semantics, written the obvious
+// way: per key, (CSN, value) pairs in strictly increasing CSN order; a
+// commit appends (or updates its own version in place) and then prunes to
+// the watermark.
+class ReferenceStore {
+ public:
+  using Chain = std::vector<std::pair<int64_t, Value>>;
+
+  void Put(const Key& key, Value value) {
+    Chain& chain = map_[key];
+    if (chain.empty()) {
+      chain.emplace_back(0, std::move(value));
+    } else {
+      chain.back().second = std::move(value);
+    }
+  }
+
+  bool Erase(const Key& key) { return map_.erase(key) > 0; }
+
+  void Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
+    if (op.type == Op::Type::kGet) return;
+    Chain& chain = map_[op.key];
+    Value value = op.value;
+    if (op.type == Op::Type::kAdd) {
+      int64_t base = chain.empty() ? 0 : ParseInt(chain.back().second);
+      value = std::to_string(base + op.delta);
+    }
+    if (!chain.empty() && chain.back().first >= csn) {
+      chain.back().second = value;
+    } else {
+      chain.emplace_back(csn, value);
+    }
+    if (gc_watermark > 0) Prune(chain, gc_watermark);
+  }
+
+  int64_t Truncate(int64_t watermark) {
+    int64_t dropped = 0;
+    for (auto& [key, chain] : map_) dropped += Prune(chain, watermark);
+    return dropped;
+  }
+
+  std::optional<Value> Get(const Key& key) const {
+    auto it = map_.find(key);
+    if (it == map_.end()) return std::nullopt;
+    return it->second.back().second;
+  }
+
+  std::optional<Value> GetAtSnapshot(const Key& key, int64_t csn) const {
+    auto it = map_.find(key);
+    if (it == map_.end()) return std::nullopt;
+    std::optional<Value> newest;
+    for (const auto& [version_csn, value] : it->second) {
+      if (version_csn <= csn) newest = value;
+    }
+    return newest;
+  }
+
+  int64_t versions(const Key& key) const {
+    auto it = map_.find(key);
+    return it == map_.end() ? 0 : static_cast<int64_t>(it->second.size());
+  }
+
+  int64_t total_versions() const {
+    int64_t total = 0;
+    for (const auto& [key, chain] : map_) {
+      total += static_cast<int64_t>(chain.size());
+    }
+    return total;
+  }
+
+  size_t size() const { return map_.size(); }
+
+  int64_t SumInts() const {
+    int64_t sum = 0;
+    for (const auto& [key, chain] : map_) sum += ParseInt(chain.back().second);
+    return sum;
+  }
+
+ private:
+  static int64_t ParseInt(const Value& value) {
+    return std::strtoll(value.c_str(), nullptr, 10);
+  }
+
+  // Drops every version older than the newest one at or below the
+  // watermark.
+  static int64_t Prune(Chain& chain, int64_t watermark) {
+    size_t base = 0;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      if (chain[i].first <= watermark) base = i;
+    }
+    chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(base));
+    return static_cast<int64_t>(base);
+  }
+
+  std::map<Key, Chain> map_;
+};
+
+// Compares one key's every observable (head, versions, every snapshot from
+// 0 to just past `csn`) between the store and the reference.
+void ExpectSameKey(const KvStore& store, const ReferenceStore& ref,
+                   const Key& key, int64_t csn, int64_t step) {
+  ASSERT_EQ(store.Get(key), ref.Get(key)) << key << " at step " << step;
+  ASSERT_EQ(store.versions(key), ref.versions(key))
+      << key << " at step " << step;
+  std::vector<int64_t> snapshots = {0};
+  for (int64_t s = std::max<int64_t>(1, csn - 8); s <= csn + 1; ++s) {
+    snapshots.push_back(s);
+  }
+  for (int64_t snapshot : snapshots) {
+    ASSERT_EQ(store.GetAtSnapshot(key, snapshot),
+              ref.GetAtSnapshot(key, snapshot))
+        << key << " @" << snapshot << " at step " << step;
+  }
+}
+
+TEST(KvStoreMvccTest, MatchesAReferenceModelOverRandomOperations) {
+  // Rounds of growing key counts, each from an empty store, so the index
+  // grows from its minimum every round and the larger rounds grow past
+  // the 512-entry chunk boundary. Erases hit keys inside probe clusters
+  // and move the last entry into the hole.
+  sim::Rng rng(20170725);
+  int64_t step = 0;
+  for (int64_t keys : {40, 250, 600, 900}) {
+    KvStore store;
+    ReferenceStore ref;
+    int64_t csn = 0;
+    for (int i = 0; i < 6000; ++i, ++step) {
+      Key key = "key-" + std::to_string(rng.UniformInt(0, keys - 1));
+      int64_t roll = rng.UniformInt(0, 99);
+      if (roll < 12) {
+        Value value = std::to_string(rng.UniformInt(-50, 50));
+        store.Put(key, value);
+        ref.Put(key, value);
+      } else if (roll < 30) {
+        ASSERT_EQ(store.Erase(key), ref.Erase(key)) << key;
+      } else if (roll < 32) {
+        int64_t watermark = rng.UniformInt(0, csn);
+        ASSERT_EQ(store.Truncate(watermark), ref.Truncate(watermark));
+      } else {
+        // A committed op: a new commit most of the time, else a second op
+        // of the current one; the watermark trails the CSN by 0-4, or is 0
+        // (keep every version).
+        if (csn == 0 || rng.UniformInt(0, 3) > 0) ++csn;
+        int64_t kind = rng.UniformInt(0, 9);
+        Op op = Transaction::Get(key);
+        if (kind < 3) {
+          op = Transaction::Put(key, std::to_string(kind));
+        } else if (kind < 9) {
+          op = Transaction::Add(key, rng.UniformInt(-9, 9));
+        }
+        int64_t watermark = std::max<int64_t>(0, csn - rng.UniformInt(0, 4));
+        if (rng.UniformInt(0, 5) == 0) watermark = 0;
+        store.Apply(op, csn, watermark);
+        ref.Apply(op, csn, watermark);
+      }
+      store.CheckInvariants();
+      ASSERT_EQ(store.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(store.total_versions(), ref.total_versions())
+          << "step " << step;
+      ASSERT_EQ(store.SumInts(), ref.SumInts()) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectSameKey(store, ref, key, csn, step));
+      Key other = "key-" + std::to_string(rng.UniformInt(0, keys - 1));
+      ASSERT_NO_FATAL_FAILURE(ExpectSameKey(store, ref, other, csn, step));
+      if (i % 500 == 499) {
+        for (int64_t k = 0; k < keys; ++k) {
+          Key swept = "key-" + std::to_string(k);
+          ASSERT_NO_FATAL_FAILURE(ExpectSameKey(store, ref, swept, csn, step));
+        }
+      }
+    }
+  }
 }
 
 TEST(ParticipantSnapshotTest, ReadAtSnapshotTouchesNoConcurrencyState) {

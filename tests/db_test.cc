@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "db/database.h"
 #include "db/kv_store.h"
 #include "db/lock_manager.h"
@@ -35,6 +38,113 @@ TEST(KvStoreTest, AddIntArithmetic) {
   EXPECT_EQ(store.GetInt("missing"), 0);
   store.Put("y", "40");
   EXPECT_EQ(store.SumInts(), 43);
+}
+
+TEST(KvStoreTest, EraseThenReinsert) {
+  KvStore store;
+  store.Put("a", "1");
+  store.Put("b", "2");
+  store.Put("c", "3");
+  EXPECT_TRUE(store.Erase("b"));
+  store.CheckInvariants();
+  EXPECT_FALSE(store.Get("b").has_value());
+  EXPECT_EQ(store.versions("b"), 0);
+  store.Apply(Transaction::Add("b", 7), /*csn=*/4);
+  store.CheckInvariants();
+  EXPECT_EQ(store.Get("b"), "7");  // the erased value is not the base
+  EXPECT_FALSE(store.GetAtSnapshot("b", 3).has_value());
+  EXPECT_EQ(store.Get("a"), "1");
+  EXPECT_EQ(store.Get("c"), "3");
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.total_versions(), 3);
+  EXPECT_EQ(store.SumInts(), 11);
+}
+
+TEST(KvStoreTest, EraseFirstAndLastEntries) {
+  // 513 keys: the last one opens a second entry chunk.
+  KvStore store;
+  const int kKeys = 513;
+  for (int i = 0; i < kKeys; ++i) store.Put("k" + std::to_string(i), "1");
+  store.Apply(Transaction::Add("k0", 1), /*csn=*/1);  // two versions
+  store.CheckInvariants();
+  EXPECT_EQ(store.total_versions(), kKeys + 1);
+
+  EXPECT_TRUE(store.Erase("k" + std::to_string(kKeys - 1)));  // last
+  store.CheckInvariants();
+  EXPECT_TRUE(store.Erase("k0"));  // first: the last entry moves into it
+  store.CheckInvariants();
+  EXPECT_EQ(store.size(), static_cast<size_t>(kKeys - 2));
+  EXPECT_EQ(store.total_versions(), kKeys - 2);
+  EXPECT_FALSE(store.Get("k0").has_value());
+  EXPECT_FALSE(store.Get("k" + std::to_string(kKeys - 1)).has_value());
+  for (int i = 1; i < kKeys - 1; ++i) {
+    EXPECT_EQ(store.Get("k" + std::to_string(i)), "1") << i;
+  }
+  EXPECT_EQ(store.SumInts(), kKeys - 2);
+
+  // Emptying the store and refilling it reuses everything.
+  for (int i = 1; i < kKeys - 1; ++i) {
+    EXPECT_TRUE(store.Erase("k" + std::to_string(i))) << i;
+  }
+  store.CheckInvariants();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.total_versions(), 0);
+  store.Put("k0", "5");
+  store.CheckInvariants();
+  EXPECT_EQ(store.Get("k0"), "5");
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(KvStoreTest, CopyMutatesIndependentlyOfItsSource) {
+  KvStore source;
+  for (int i = 0; i < 600; ++i) source.Put("k" + std::to_string(i), "1");
+  source.Apply(Transaction::Put("k1", "2"), /*csn=*/1);
+
+  KvStore copy = source;
+  copy.CheckInvariants();
+  copy.Put("k0", "9");
+  copy.Apply(Transaction::Add("k1", 5), /*csn=*/2);
+  EXPECT_TRUE(copy.Erase("k2"));
+  copy.Put("fresh", "4");
+  copy.CheckInvariants();
+
+  source.CheckInvariants();
+  EXPECT_EQ(source.Get("k0"), "1");
+  EXPECT_EQ(source.Get("k1"), "2");
+  EXPECT_EQ(source.versions("k1"), 2);
+  EXPECT_EQ(source.Get("k2"), "1");
+  EXPECT_FALSE(source.Get("fresh").has_value());
+  EXPECT_EQ(source.size(), 600u);
+  EXPECT_EQ(source.total_versions(), 601);
+
+  EXPECT_EQ(copy.Get("k0"), "9");
+  EXPECT_EQ(copy.Get("k1"), "7");
+  EXPECT_EQ(copy.GetAtSnapshot("k1", 1), "2");
+  EXPECT_FALSE(copy.Get("k2").has_value());
+  EXPECT_EQ(copy.Get("fresh"), "4");
+  EXPECT_EQ(copy.size(), 600u);
+  EXPECT_EQ(copy.total_versions(), 602);
+
+  // Assignment copies too, and later source writes stay out of it.
+  KvStore assigned;
+  assigned.Put("gone", "1");
+  assigned = source;
+  source.Put("k3", "8");
+  assigned.CheckInvariants();
+  EXPECT_FALSE(assigned.Get("gone").has_value());
+  EXPECT_EQ(assigned.Get("k3"), "1");
+  EXPECT_EQ(assigned.size(), 600u);
+
+  // A move takes everything and leaves the source empty and usable.
+  KvStore moved = std::move(assigned);
+  EXPECT_EQ(moved.Get("k3"), "1");
+  EXPECT_EQ(moved.size(), 600u);
+  moved.CheckInvariants();
+  EXPECT_EQ(assigned.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.total_versions(), 0);
+  assigned.Put("again", "1");
+  assigned.CheckInvariants();
+  EXPECT_EQ(assigned.Get("again"), "1");
 }
 
 // ---------------------------------------------------------- LockManager --
