@@ -47,7 +47,7 @@ class Host::ChannelEnv : public proc::ProcessEnv {
   net::Channel channel_;
 };
 
-Host::Host(sim::Scheduler* scheduler, net::Network* network, net::ProcessId id,
+Host::Host(sim::Simulator* scheduler, net::Network* network, net::ProcessId id,
            int n, int f, sim::Time unit, sim::Time epoch)
     : scheduler_(scheduler),
       network_(network),

@@ -7,7 +7,7 @@
 #include "consensus/consensus.h"
 #include "net/network.h"
 #include "proc/process_env.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace fastcommit::core {
 
@@ -21,7 +21,7 @@ class Host {
   /// `epoch` is the virtual-time origin for this process's timers; the
   /// standalone runner uses 0, the database layer uses the transaction's
   /// commit start time.
-  Host(sim::Scheduler* scheduler, net::Network* network, net::ProcessId id,
+  Host(sim::Simulator* scheduler, net::Network* network, net::ProcessId id,
        int n, int f, sim::Time unit, sim::Time epoch = 0);
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -59,7 +59,7 @@ class Host {
   void HandleMessage(net::ProcessId from, const net::Message& m);
   void HandleTimer(net::Channel channel, int64_t tag);
 
-  sim::Scheduler* scheduler_;
+  sim::Simulator* scheduler_;
   net::Network* network_;
   net::ProcessId id_;
   int n_;

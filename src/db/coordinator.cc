@@ -8,7 +8,7 @@
 
 namespace fastcommit::db {
 
-CommitInstance::CommitInstance(sim::Scheduler* scheduler,
+CommitInstance::CommitInstance(sim::Simulator* scheduler,
                                core::ProtocolKind protocol,
                                core::ConsensusKind consensus,
                                const core::ProtocolOptions& protocol_options,

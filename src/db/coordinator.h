@@ -11,14 +11,14 @@
 #include "db/transaction.h"
 #include "net/delay_model.h"
 #include "net/network.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace fastcommit::db {
 
 /// One atomic-commit round among the partitions touched by one transaction.
 ///
 /// The instance owns a cluster — its own Network and Hosts over the shared
-/// scheduler — whose processes 0..n-1 correspond to the touched partitions
+/// simulator — whose processes 0..n-1 correspond to the touched partitions
 /// in order. The epoch of every host is the instant Start() (or Reset()) is
 /// called, so the protocols' absolute-time pseudocode runs unmodified in
 /// the middle of a long database simulation.
@@ -56,7 +56,7 @@ class CommitInstance {
   /// a net::RegionDelayModel over the usual FixedDelayModel(unit) intra
   /// base; the default single-region topology keeps the bare fixed model
   /// (bitwise-identical construction to the pre-geo instance).
-  CommitInstance(sim::Scheduler* scheduler, core::ProtocolKind protocol,
+  CommitInstance(sim::Simulator* scheduler, core::ProtocolKind protocol,
                  core::ConsensusKind consensus,
                  const core::ProtocolOptions& protocol_options, sim::Time unit,
                  std::vector<commit::Vote> votes, DoneCallback done,
@@ -80,7 +80,7 @@ class CommitInstance {
 
   bool finished() const { return decided_count_ == n_; }
   int n() const { return n_; }
-  /// Pool-assigned shard key of the scheduler this instance is bound to
+  /// Pool-assigned shard key of the simulator this instance is bound to
   /// (an instance never migrates; see db/instance_pool.h).
   int shard_key() const { return shard_key_; }
   void set_shard_key(int shard_key) { shard_key_ = shard_key; }
@@ -101,7 +101,7 @@ class CommitInstance {
   }
 
  private:
-  sim::Scheduler* scheduler_;
+  sim::Simulator* scheduler_;
   int n_;
   int shard_key_ = 0;
   std::vector<commit::Vote> votes_;

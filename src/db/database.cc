@@ -80,10 +80,10 @@ sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
   sim_options.num_shards = options.num_shards;
   sim_options.num_threads = options.num_threads;
   // The only control events scheduled from completion effects are retries,
-  // and the earliest retry lands backoff >= unit * retry_backoff_units + 1
+  // and the earliest retry lands backoff >= unit * kRetryBackoffUnits + 1
   // ticks after the decide instant (attempt >= 1, random part >= 1). That
   // bound is the merge rule's safe run-ahead window.
-  sim_options.lookahead = options.unit * options.retry_backoff_units + 1;
+  sim_options.lookahead = options.unit * Database::kRetryBackoffUnits + 1;
   if (options.log_replicas > 0) {
     // With the commit log on, decide effects also schedule replica-ack
     // events, at >= effect time + unit (CommitLog::AckDelay's floor) — the
@@ -144,8 +144,8 @@ Database::Database(const Options& options)
   }
   if (plan.HasParticipantCrash()) {
     FC_CHECK(options_.partition_parallel)
-        << "participant crashes need the partition plane (the inline path "
-           "has no queues to defer work in)";
+        << "participant crashes need deferred flushes (partition_parallel): "
+           "the inline reference runs every op the moment it is enqueued";
     FC_CHECK(plan.crash_partition >= 0 &&
              plan.crash_partition < options_.num_partitions)
         << "crash_partition " << plan.crash_partition << " out of range";
@@ -297,35 +297,51 @@ void Database::AdmitArrival(
   Execute(PendingTx{std::move(tx), 1, *on_complete});
 }
 
-void Database::PrepareTouched(const PendingTx& pending,
-                              std::vector<int>* touched,
-                              std::vector<commit::Vote>* votes) {
-  // Route ops to partitions: sort (partition, op index) pairs in a reused
-  // flat buffer. The index tiebreak keeps each partition's ops in
-  // program order, matching the old map-of-vectors grouping without its
-  // per-transaction node allocations.
-  const std::vector<Op>& ops = pending.tx.ops;
+void Database::RouteOps(const std::vector<Op>& ops, std::vector<int>* touched,
+                        std::vector<uint64_t>* hashes) {
+  // Sort (partition, op index) pairs in a reused flat buffer. The index
+  // tiebreak keeps each partition's ops in program order, matching the old
+  // map-of-vectors grouping without its per-transaction node allocations.
   FC_CHECK(!ops.empty()) << "empty transaction";
-  const bool lookahead = LookaheadEnabled();
   route_.clear();
-  hash_scratch_.clear();
+  if (hashes != nullptr) hashes->clear();
   for (size_t i = 0; i < ops.size(); ++i) {
     uint64_t h = HashKey(ops[i].key);
     route_.emplace_back(
         static_cast<int>(h % static_cast<uint64_t>(options_.num_partitions)),
         static_cast<int>(i));
-    if (lookahead) hash_scratch_.push_back(h);
+    if (hashes != nullptr) hashes->push_back(h);
   }
   std::sort(route_.begin(), route_.end());
-
   touched->clear();
   for (size_t i = 0; i < route_.size(); ++i) {
     if (i == 0 || route_[i].first != route_[i - 1].first) {
       touched->push_back(route_[i].first);
     }
   }
-  // Vote slots are written through pointers on the partition-parallel
-  // path, so the vector must reach its final size before any is taken.
+}
+
+std::vector<Op> Database::TakeGroup(const std::vector<Op>& ops, size_t* cursor,
+                                    std::vector<int>* op_slots, int slot) {
+  std::vector<Op> group = plane_.TakeOpsBuffer();
+  const int partition_id = route_[*cursor].first;
+  for (; *cursor < route_.size() && route_[*cursor].first == partition_id;
+       ++*cursor) {
+    size_t op = static_cast<size_t>(route_[*cursor].second);
+    if (op_slots != nullptr) (*op_slots)[op] = slot;
+    group.push_back(ops[op]);
+  }
+  return group;
+}
+
+void Database::PrepareTouched(const PendingTx& pending,
+                              std::vector<int>* touched,
+                              std::vector<commit::Vote>* votes) {
+  const std::vector<Op>& ops = pending.tx.ops;
+  const bool lookahead = LookaheadEnabled();
+  RouteOps(ops, touched, lookahead ? &hash_scratch_ : nullptr);
+  // Vote slots are written through pointers at the flush, so the vector
+  // must reach its final size before any is taken.
   votes->assign(touched->size(), commit::Vote::kNo);
 
   // Conflict-aware lookahead: if every key hash is disjoint from every
@@ -354,44 +370,28 @@ void Database::PrepareTouched(const PendingTx& pending,
   }
 
   sim::Time now = sim_.control()->Now();
-  size_t slot = 0;
-  for (size_t i = 0; i < route_.size(); ++slot) {
-    int partition_id = route_[i].first;
-    if (options_.partition_parallel) {
-      std::vector<Op> group = plane_.TakeOpsBuffer();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        group.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      if (predicted) {
-        plane_.EnqueuePredictedPrepare(partition_id, now, pending.tx.id,
-                                       std::move(group));
-      } else {
-        plane_.EnqueuePrepare(partition_id, now, pending.tx.id,
-                              std::move(group), &(*votes)[slot]);
-      }
+  size_t cursor = 0;
+  for (size_t slot = 0; slot < touched->size(); ++slot) {
+    std::vector<Op> group = TakeGroup(ops, &cursor, nullptr, 0);
+    if (predicted) {
+      plane_.EnqueuePredictedPrepare((*touched)[slot], now, pending.tx.id,
+                                     std::move(group));
     } else {
-      group_ops_.clear();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        group_ops_.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      (*votes)[slot] =
-          plane_.partition(partition_id).Prepare(pending.tx.id, group_ops_);
+      plane_.EnqueuePrepare((*touched)[slot], now, pending.tx.id,
+                            std::move(group), &(*votes)[slot]);
     }
   }
-  if (options_.partition_parallel) {
-    if (predicted) {
-      // No barrier: the proof stands in for the flush. The queued
-      // predicted prepares re-derive these votes at the next barrier and
-      // FC_CHECK the match.
-      votes->assign(touched->size(), commit::Vote::kYes);
-      ++lookahead_skips_;
-    } else {
-      // Barrier: deferred finishes run first (they were enqueued at
-      // earlier or equal instants), then this transaction's prepares —
-      // the same serial history the inline branch above produces. Votes
-      // are valid once this returns.
-      FlushPartitionWork();
-    }
+  if (predicted) {
+    // No barrier: the proof stands in for the flush. The queued predicted
+    // prepares re-derive these votes at the next barrier and FC_CHECK the
+    // match.
+    votes->assign(touched->size(), commit::Vote::kYes);
+    ++lookahead_skips_;
+  } else {
+    // Barrier: deferred finishes run first (they were enqueued at earlier
+    // or equal instants), then this transaction's prepares — the serial
+    // history. Votes are valid once this returns.
+    FlushPartitionWork();
   }
 }
 
@@ -417,21 +417,17 @@ void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
   if (LookaheadEnabled()) ReleaseTrackedKeys(tx);
   int64_t watermark =
       decision == commit::Decision::kCommit ? Watermark() : 0;
+  // Deferred: applied at the next flush barrier, which always comes before
+  // any later prepare or partition-state read can observe the difference.
   for (int partition_id : touched) {
-    if (options_.partition_parallel) {
-      // Deferred: applied at the next flush barrier, which always comes
-      // before any later prepare or partition-state read can observe the
-      // difference.
-      plane_.EnqueueFinish(partition_id, at, tx, decision, csn, watermark);
-    } else {
-      plane_.partition(partition_id).Finish(tx, decision, csn, watermark);
-    }
+    plane_.EnqueueFinish(partition_id, at, tx, decision, csn, watermark);
   }
+  // The inline reference applies them right away instead.
+  if (!options_.partition_parallel) FlushPartitionWork();
 }
 
 void Database::ExecuteSnapshotRead(PendingTx pending) {
   const std::vector<Op>& ops = pending.tx.ops;
-  FC_CHECK(!ops.empty()) << "empty transaction";
   // The snapshot is the stable CSN at this (canonical-order) instant:
   // every commit with CSN <= it already ran FinishTx, so its finish tasks
   // sit ahead of these read tasks in the same partition FIFOs — the read
@@ -441,43 +437,19 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   read->snapshot_csn = snapshot;
   read->op_slots.resize(ops.size());
 
-  route_.clear();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    route_.emplace_back(PartitionOf(ops[i].key), static_cast<int>(i));
-  }
-  std::sort(route_.begin(), route_.end());
-  size_t num_touched = 0;
-  for (size_t i = 0; i < route_.size(); ++i) {
-    if (i == 0 || route_[i].first != route_[i - 1].first) ++num_touched;
-  }
+  RouteOps(ops, &read_touched_, nullptr);
   // Size the slots before any pointer into them is taken (the SnapshotRead
   // itself is heap-pinned, so growth of pending_reads_ cannot move them).
-  read->values.resize(num_touched);
+  read->values.resize(read_touched_.size());
 
   sim::Time now = sim_.control()->Now();
-  size_t slot = 0;
-  for (size_t i = 0; i < route_.size(); ++slot) {
-    int partition_id = route_[i].first;
-    if (options_.partition_parallel) {
-      std::vector<Op> group = plane_.TakeOpsBuffer();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        read->op_slots[static_cast<size_t>(route_[i].second)] =
-            static_cast<int>(slot);
-        group.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      plane_.EnqueueSnapshotRead(partition_id, now, pending.tx.id, snapshot,
-                                 std::move(group), &read->values[slot],
-                                 &read->filled);
-    } else {
-      group_ops_.clear();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        read->op_slots[static_cast<size_t>(route_[i].second)] =
-            static_cast<int>(slot);
-        group_ops_.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      plane_.partition(partition_id)
-          .ReadAtSnapshot(snapshot, group_ops_, &read->values[slot]);
-    }
+  size_t cursor = 0;
+  for (size_t slot = 0; slot < read_touched_.size(); ++slot) {
+    std::vector<Op> group =
+        TakeGroup(ops, &cursor, &read->op_slots, static_cast<int>(slot));
+    plane_.EnqueueSnapshotRead(read_touched_[slot], now, pending.tx.id,
+                               snapshot, std::move(group), &read->values[slot],
+                               &read->filled);
   }
   // Claim the snapshot against GC until the read drains: commits deciding
   // in between compute their prune watermark as the minimum claimed CSN.
@@ -494,17 +466,9 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   --inflight_;
 
   read->tx = std::move(pending.tx);
-  // The inline path filled every slot synchronously above; mark them so
-  // prefix finalization sees this read as complete.
-  if (!options_.partition_parallel) {
-    read->filled.store(static_cast<int>(read->values.size()),
-                       std::memory_order_relaxed);
-  }
   pending_reads_.push_back(std::move(read));
-  // The inline path already filled the slots above; finalize in place so
-  // the observer and fingerprint see the same per-read order as the
-  // partition-parallel path.
-  if (!options_.partition_parallel) FinalizeSnapshotReads();
+  // The inline reference reads (and finalizes) right away.
+  if (!options_.partition_parallel) FlushPartitionWork();
 }
 
 void Database::FinalizeSnapshotReads() {
@@ -722,15 +686,16 @@ void Database::EnqueueInBatch(PendingTx pending, std::vector<int> touched,
     // into this wider round before its timer is armed, and may pull the
     // deadline earlier than the window above.
     if (options_.batch_round_merge) AbsorbSubsetBatches(&batch);
-    // Window flush: a cancellable control event at the deadline. A
-    // size-triggered flush cancels it; the id fence additionally covers
-    // schedulers without cancellation, where the timer would still fire
-    // against a slot that may hold a younger batch.
+    // Window flush: a cancellable control event at the deadline. Every
+    // other way a batch closes (size flush, round merge, coordinator crash)
+    // cancels it, so the timer only ever fires on its own open batch.
     batch.timer = sim_.control()->ScheduleCancellableAt(
         batch.deadline, sim::EventClass::kControl,
         [this, key = touched, id = batch.id]() {
           auto it = open_batches_.find(key);
-          if (it == open_batches_.end() || it->second.id != id) return;
+          FC_CHECK(it != open_batches_.end() && it->second.id == id)
+              << "window flush timer of batch " << id
+              << " fired after its batch closed: a lost cancel";
           ++batch_stats_.window_flushes;
           Batch closed = std::move(it->second);
           open_batches_.erase(it);
@@ -818,7 +783,7 @@ void Database::StartRound(RoundState round, bool resumed) {
   // coordinator crash mid-round presumes abort and resubmits, which is
   // exactly the unlogged-round recovery contract.
   const bool logless =
-      GeoChoreographyEnabled() && RegionSpanOf(round.partitions) == 1;
+      GeoChoreographyEnabled() && RegionSpanOf(round.partitions).span == 1;
   if (!resumed) {
     round.id = next_round_id_++;
     if (LogEnabled() && !logless) {
@@ -938,36 +903,27 @@ void Database::CompleteRound(RoundState round, commit::Decision decision,
   DeliverRoundDecision(round, decision, finished_at);
 }
 
-int Database::RegionSpanOf(const std::vector<int>& partitions) {
-  if (!GeoEnabled()) return 1;
+Database::RegionSpan Database::RegionSpanOf(
+    const std::vector<int>& partitions) {
+  if (!GeoEnabled()) return RegionSpan{1, 0, 0};
   std::fill(region_scratch_.begin(), region_scratch_.end(), 0);
-  int span = 0;
+  RegionSpan result{0, options_.num_regions, 0};
   for (int p : partitions) {
-    char& seen = region_scratch_[static_cast<size_t>(plane_.RegionOf(p))];
-    if (seen == 0) {
-      seen = 1;
-      ++span;
-    }
-  }
-  return span;
-}
-
-void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
-  int n = static_cast<int>(round.partitions.size());
-  std::fill(region_scratch_.begin(), region_scratch_.end(), 0);
-  int span = 0;
-  int min_region = 0;
-  int max_region = 0;
-  for (int p : round.partitions) {
     int region = plane_.RegionOf(p);
     char& seen = region_scratch_[static_cast<size_t>(region)];
     if (seen == 0) {
       seen = 1;
-      if (span == 0 || region < min_region) min_region = region;
-      if (span == 0 || region > max_region) max_region = region;
-      ++span;
+      ++result.span;
+      result.min_region = std::min(result.min_region, region);
+      result.max_region = std::max(result.max_region, region);
     }
   }
+  return result;
+}
+
+void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
+  int n = static_cast<int>(round.partitions.size());
+  const auto [span, min_region, max_region] = RegionSpanOf(round.partitions);
   // Gather and scatter are intra-DC hops a round only pays when some
   // co-coordinator has local company (n > span: a region holds >= 2
   // touched partitions); each costs one unit because every region gathers
@@ -1001,7 +957,7 @@ void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
 
 void Database::RecordGeoRound(const RoundState& round, int64_t cross_messages,
                               sim::Time started_at, sim::Time finished_at) {
-  int span = RegionSpanOf(round.partitions);
+  int span = RegionSpanOf(round.partitions).span;
   geo_stats_.cross_region_messages += cross_messages;
   if (GeoChoreographyEnabled()) {
     ++geo_stats_.co_coordinator_rounds;
@@ -1245,7 +1201,7 @@ void Database::FinishTx(const PendingTx& pending,
   ++stats_.retries;
   PendingTx retry{pending.tx, pending.attempt + 1, pending.on_complete};
   sim::Time backoff =
-      options_.unit * options_.retry_backoff_units * pending.attempt +
+      options_.unit * kRetryBackoffUnits * pending.attempt +
       static_cast<sim::Time>(rng_.UniformInt(1, options_.unit));
   sim_.control()->ScheduleAt(finished_at + backoff, sim::EventClass::kControl,
                              [this, retry = std::move(retry)]() mutable {

@@ -163,13 +163,20 @@ struct DatabaseStats {
 /// single-threaded drains.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
-/// application, lock release) likewise runs off the control plane by
-/// default: each partition has an FNV-1a home shard and its work drains as
-/// shard-grouped tasks at deterministic flush barriers
-/// (db/partition_plane.h, Options::partition_parallel). The control plane
-/// keeps only transaction admission, batch formation, and retry/backoff.
+/// application, lock release, snapshot reads) always goes through the
+/// partition plane: each partition has an FNV-1a home shard and its work
+/// drains as shard-grouped tasks at deterministic flush barriers
+/// (db/partition_plane.h; Options::partition_parallel picks the flush
+/// policy). The control plane keeps only transaction admission, batch
+/// formation, and retry/backoff.
 class Database {
  public:
+  /// Retry backoff slope: an aborted attempt k retries after
+  /// k * kRetryBackoffUnits * unit ticks plus a jitter in [1, unit]. The
+  /// minimum (unit * kRetryBackoffUnits + 1) is also the sharded
+  /// simulator's run-ahead window.
+  static constexpr int64_t kRetryBackoffUnits = 4;
+
   /// Final outcome of a submitted transaction: the protocol's real
   /// commit::Decision (after any retries), delivered from FinishTx. Runs on
   /// the drain thread; must not call Submit or Drain.
@@ -205,7 +212,6 @@ class Database {
     /// are bitwise identical across shard/thread placements, like k2PL's.
     ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
     int max_attempts = 5;
-    int64_t retry_backoff_units = 4;  ///< backoff = attempt * this * U
     uint64_t seed = 1;
     /// Recycle commit instances through a free-list pool (the default).
     /// false restores the rebuild-per-transaction baseline, in which every
@@ -307,14 +313,16 @@ class Database {
     bool snapshot_reads = false;
     /// Partition-parallel execution (the default): partition data-path
     /// work — Prepare's lock acquisition, commit's write application,
-    /// lock release — runs on the partition plane (db/partition_plane.h):
-    /// per-partition task queues homed on shards by FNV-1a over the
-    /// partition id and drained in parallel by the simulator's worker
-    /// pool at deterministic flush barriers, while the control plane
-    /// keeps only admission, batch formation, and retry/backoff. false
-    /// restores the inline baseline where every Participant call runs on
-    /// the control plane at its issue point. The plane's barriers replay
-    /// the serial history exactly, so DatabaseStats and BatchStats are
+    /// lock release — always runs on the partition plane
+    /// (db/partition_plane.h): per-partition task queues homed on shards
+    /// by FNV-1a over the partition id and drained in parallel by the
+    /// simulator's worker pool at deterministic flush barriers, while the
+    /// control plane keeps only admission, batch formation, and
+    /// retry/backoff. This flag is a flush policy. true defers finishes
+    /// and snapshot reads to the next barrier; false is the inline
+    /// reference, which flushes after every enqueue, so every op runs the
+    /// moment it is enqueued (the serial history). The deferred barriers
+    /// replay that history exactly, so DatabaseStats and BatchStats are
     /// bitwise identical either way and across every shard/thread
     /// placement (tests/db_placement_fuzz_test.cc).
     bool partition_parallel = true;
@@ -371,9 +379,9 @@ class Database {
     /// Debug: sweep lock-manager and staging invariants over every
     /// partition at each partition-plane flush barrier (see
     /// Participant::CheckInvariants). O(held locks) per barrier; meant
-    /// for tests (tests/lock_invariant_test.cc), off by default. Only
-    /// observed on the partition-parallel path (the inline path has no
-    /// barriers to hook).
+    /// for tests (tests/lock_invariant_test.cc), off by default. The
+    /// inline reference flushes after every enqueue, so there it sweeps
+    /// after every op group.
     bool check_invariants = false;
   };
 
@@ -626,9 +634,11 @@ class Database {
   /// Batching-path counters (see BatchStats); all zero when batching is
   /// disabled.
   const BatchStats& batch_stats() const { return batch_stats_; }
-  /// Partition-plane counters (flush barriers run, tasks drained) — zero
-  /// on the inline path; outside DatabaseStats like the pool counters,
-  /// since they describe execution machinery, not workload outcomes.
+  /// Partition-plane counters (flush barriers run, tasks drained). The
+  /// inline reference's flush-after-every-enqueue counts as barriers too,
+  /// so they differ between the two flush policies. Outside DatabaseStats
+  /// like the pool counters, since they describe execution machinery, not
+  /// workload outcomes.
   const PartitionPlane& partition_plane() const { return plane_; }
   /// Flush barriers skipped by conflict-aware lookahead
   /// (Options::conflict_lookahead) — one per transaction whose disjointness
@@ -691,11 +701,10 @@ class Database {
 
   /// An open commit round accumulating transactions over its partition set
   /// (or, with batch_cross_set, subsets of it) until its window timer
-  /// fires or it reaches batch_max members. A size-triggered flush cancels
-  /// the timer outright (it neither runs nor stretches makespan); `id`
-  /// additionally fences it for schedulers without cancellation support —
-  /// the map slot may hold a younger batch by the time a stale timer
-  /// fires, and it must then no-op.
+  /// fires or it reaches batch_max members. Every other close (size flush,
+  /// round merge, coordinator crash) cancels the timer outright, so it
+  /// neither runs nor stretches makespan; the timer FC_CHECKs that the
+  /// open batch under its key still carries its `id`.
   struct Batch {
     int64_t id = 0;
     std::vector<int> partitions;  ///< sorted touched set (the table key)
@@ -748,17 +757,28 @@ class Database {
   /// Admission control for one open-loop arrival: shed or execute.
   void AdmitArrival(Transaction tx,
                     const std::shared_ptr<CompletionCallback>& on_complete);
-  /// Issues one transaction's per-partition Prepares and collects votes
-  /// into `touched`/`votes` (sorted by partition): through the partition
-  /// plane — enqueue, flush barrier, read — when partition-parallel
-  /// execution is on, inline otherwise. Identical results either way.
+  /// The one router: sorts `ops` into route_ as (partition, op index)
+  /// pairs, program order within a partition, and writes the sorted
+  /// distinct partitions to `touched`. `hashes` (optional) receives each
+  /// op's FNV-1a key hash, in op order.
+  void RouteOps(const std::vector<Op>& ops, std::vector<int>* touched,
+                std::vector<uint64_t>* hashes);
+  /// Copies the ops of the partition group starting at route_[*cursor]
+  /// into a recycled plane buffer and advances `cursor` past the group.
+  /// `op_slots` (optional) maps each copied op's index to `slot`.
+  std::vector<Op> TakeGroup(const std::vector<Op>& ops, size_t* cursor,
+                            std::vector<int>* op_slots, int slot);
+  /// Enqueues one transaction's per-partition Prepares on the plane and
+  /// collects votes into `touched`/`votes` (sorted by partition). Flushes
+  /// before reading the votes unless lookahead predicted them all kYes.
   void PrepareTouched(const PendingTx& pending, std::vector<int>* touched,
                       std::vector<commit::Vote>* votes);
-  /// Issues `tx`'s Finish at every touched partition: deferred onto the
-  /// partition plane (running before any later prepare), or inline. A
-  /// commit carries its CSN (0 for aborts) and the reader low-watermark
-  /// computed here, at enqueue time — a stale watermark at drain time only
-  /// prunes less, never a version a live snapshot still needs.
+  /// Enqueues `tx`'s Finish at every touched partition, deferred to the
+  /// next barrier (running before any later prepare) or, on the inline
+  /// reference, flushed at once. A commit carries its CSN (0 for aborts)
+  /// and the reader low-watermark computed here, at enqueue time — a stale
+  /// watermark at drain time only prunes less, never a version a live
+  /// snapshot still needs.
   void FinishPartitions(TxId tx, const std::vector<int>& touched,
                         commit::Decision decision, sim::Time at,
                         int64_t csn = 0);
@@ -780,8 +800,8 @@ class Database {
     return active_snapshots_.empty() ? last_csn_
                                      : active_snapshots_.begin()->first;
   }
-  /// Drains pending partition-plane tasks (no-op when none are, or on the
-  /// inline path, which never enqueues any).
+  /// Drains pending partition-plane tasks (no-op when none are pending)
+  /// and finalizes the snapshot reads they filled.
   void FlushPartitionWork();
   /// True when multi-partition transactions take the batching path at all.
   bool BatchingEnabled() const {
@@ -848,9 +868,16 @@ class Database {
   /// classification, critical-path cross delays, latency).
   void RecordGeoRound(const RoundState& round, int64_t cross_messages,
                       sim::Time started_at, sim::Time finished_at);
-  /// Distinct regions the (sorted) partition set touches; 1 with one
-  /// region configured.
-  int RegionSpanOf(const std::vector<int>& partitions);
+  /// Distinct regions a partition set touches, and the lowest and highest
+  /// of them (the farthest pair under the laddered topology).
+  struct RegionSpan {
+    int span = 0;
+    int min_region = 0;
+    int max_region = 0;
+  };
+  /// One scan of `partitions`' regions; {1, 0, 0} with one region
+  /// configured.
+  RegionSpan RegionSpanOf(const std::vector<int>& partitions);
   bool GeoEnabled() const { return options_.num_regions > 1; }
   /// Co-coordinator rounds replace pooled instances entirely.
   bool GeoChoreographyEnabled() const {
@@ -906,11 +933,11 @@ class Database {
                 const std::vector<int>& touched_partitions,
                 commit::Decision decision, sim::Time started,
                 sim::Time finished_at);
-  /// Conflict-aware lookahead is sound only where prepares run through
-  /// the plane's FIFO queues (the inline path has no barriers to skip) —
-  /// and never when a participant crash is planned: a down partition
-  /// answers prepares with kNo whatever the keys, so no disjointness
-  /// proof can predict kYes.
+  /// Conflict-aware lookahead only pays with deferred flushes (the inline
+  /// reference flushes at every enqueue, so it has no barriers to skip),
+  /// and is never sound when a participant crash is planned: a down
+  /// partition answers prepares with kNo whatever the keys, so no
+  /// disjointness proof can predict kYes.
   bool LookaheadEnabled() const {
     return options_.conflict_lookahead && options_.partition_parallel &&
            !options_.fault_plan.HasParticipantCrash();
@@ -934,7 +961,7 @@ class Database {
   /// pairs sorted by partition — replaces a per-transaction
   /// std::map<int, std::vector<Op>> on the hot path.
   std::vector<std::pair<int, int>> route_;
-  std::vector<Op> group_ops_;  ///< reused per-partition op batch for Prepare
+  std::vector<int> read_touched_;  ///< reused snapshot-read partition set
   /// Open batches keyed by sorted partition set (control plane only; an
   /// ordered map so the cross-set admission scan is deterministic).
   std::map<std::vector<int>, Batch> open_batches_;

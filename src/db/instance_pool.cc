@@ -20,7 +20,7 @@ CommitInstancePool::CommitInstancePool(
       topology_(std::move(topology)) {}
 
 CommitInstance* CommitInstancePool::Acquire(int shard,
-                                            sim::Scheduler* scheduler,
+                                            sim::Simulator* scheduler,
                                             std::vector<commit::Vote> votes,
                                             CommitInstance::DoneCallback done,
                                             std::vector<int> regions) {

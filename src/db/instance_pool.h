@@ -9,7 +9,7 @@
 #include "core/protocol_kind.h"
 #include "core/runner.h"
 #include "db/coordinator.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace fastcommit::db {
 
@@ -25,10 +25,10 @@ namespace fastcommit::db {
 /// Acquire returns a recycled instance of the right size *on the right
 /// shard* when one is free (re-armed via CommitInstance::Reset — no
 /// allocation on the hot path) and constructs one against the supplied
-/// scheduler otherwise. An instance schedules against one shard for its
+/// simulator otherwise. An instance schedules against one shard for its
 /// whole lifetime, so the sharded runtime can drain it without locks; the
 /// shard key keeps recycling from ever migrating an instance across
-/// schedulers. Release returns an instance to its (shard, size) class;
+/// simulators. Release returns an instance to its (shard, size) class;
 /// in-flight events of the released incarnation are fenced by the
 /// generation counters (see the lifecycle comment in db/coordinator.h), so
 /// an instance is safe to reuse the moment its last process decided.
@@ -77,7 +77,7 @@ class CommitInstancePool {
   /// completion effect). `shard` must identify `scheduler` stably.
   /// `regions` homes process i in regions[i] for this incarnation (geo
   /// pools only; leave empty on a single-region pool).
-  CommitInstance* Acquire(int shard, sim::Scheduler* scheduler,
+  CommitInstance* Acquire(int shard, sim::Simulator* scheduler,
                           std::vector<commit::Vote> votes,
                           CommitInstance::DoneCallback done,
                           std::vector<int> regions = {});

@@ -249,7 +249,7 @@ void PartitionPlane::Flush(sim::ShardedSimulator* sim) {
   // transaction's prepares plus a few deferred finishes) drains inline.
   // Either route produces identical state: partitions share nothing and
   // each queue drains FIFO.
-  bool parallel = sim != nullptr && pending_tasks_ >= kParallelFlushMin;
+  bool parallel = pending_tasks_ >= kParallelFlushMin;
   if (parallel) {
     group_has_work_.assign(groups_.size(), 0);
     int busy_groups = 0;

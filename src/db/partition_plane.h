@@ -26,10 +26,9 @@ namespace fastcommit::db {
 /// ## Execution model
 ///
 /// The control plane (submit/route, batch formation, retry/backoff) never
-/// calls into a Participant directly when partition-parallel execution is
-/// on. It enqueues *partition tasks* tagged (time, tx id) into
-/// per-partition FIFO queues and flushes the plane at deterministic
-/// barriers:
+/// calls into a Participant directly. It enqueues *partition tasks* tagged
+/// (time, tx id) into per-partition FIFO queues and flushes the plane at
+/// deterministic barriers:
 ///   - inside Database::Execute, immediately after enqueueing one
 ///     transaction's prepares and before consuming their votes;
 ///   - before any direct read of partition state (store accessors,
@@ -40,9 +39,11 @@ namespace fastcommit::db {
 /// queue therefore replays exactly the serial history — a finish enqueued
 /// at time F runs before a prepare enqueued at u >= F, and same-instant
 /// tasks keep their control-plane issue order — so outcomes (votes,
-/// partition state, per-partition counters) are bitwise identical to
-/// inline execution (Database::Options::partition_parallel = false),
-/// which tests/db_placement_fuzz_test.cc gates across random placements.
+/// partition state, per-partition counters) are bitwise identical to the
+/// inline reference (Database::Options::partition_parallel = false), which
+/// flushes after every enqueue so each task runs the moment it is queued.
+/// tests/db_placement_fuzz_test.cc gates the identity across random
+/// placements.
 ///
 /// ## Parallelism and determinism
 ///
@@ -151,9 +152,9 @@ class PartitionPlane {
   int64_t deferred_tasks_total() const;
   int64_t down_vote_noes() const;
 
-  /// Drains every queue to empty. `sim` non-null runs home-shard groups
-  /// through its worker pool (ParallelFor); null drains inline in group
-  /// order. Results are identical either way. No-op with nothing pending.
+  /// Drains every queue to empty, running home-shard groups through
+  /// `sim`'s worker pool (ParallelFor) when enough work is pending to pay
+  /// for the dispatch. No-op with nothing pending.
   void Flush(sim::ShardedSimulator* sim);
 
   /// When on, Flush ends with Participant::CheckInvariants over every

@@ -7,7 +7,7 @@
 
 namespace fastcommit::net {
 
-Network::Network(sim::Scheduler* scheduler, int n,
+Network::Network(sim::Simulator* scheduler, int n,
                  std::unique_ptr<DelayModel> delays)
     : scheduler_(scheduler),
       n_(n),

@@ -8,11 +8,11 @@
 #include "net/delay_model.h"
 #include "net/message.h"
 #include "net/message_stats.h"
-#include "sim/scheduler.h"
+#include "sim/simulator.h"
 
 namespace fastcommit::net {
 
-/// Perfect point-to-point links over the scheduler.
+/// Perfect point-to-point links over the simulator.
 ///
 /// Guarantees of the paper's channel model (Section 2.1): no modification,
 /// injection, duplication or loss — every message sent to a non-crashed
@@ -34,7 +34,7 @@ class Network {
  public:
   using Handler = std::function<void(ProcessId from, const Message&)>;
 
-  Network(sim::Scheduler* scheduler, int n, std::unique_ptr<DelayModel> delays);
+  Network(sim::Simulator* scheduler, int n, std::unique_ptr<DelayModel> delays);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -66,7 +66,7 @@ class Network {
   void Deliver(uint64_t generation, int64_t seq, ProcessId from, ProcessId to,
                const Message& msg);
 
-  sim::Scheduler* scheduler_;
+  sim::Simulator* scheduler_;
   int n_;
   std::unique_ptr<DelayModel> delays_;
   std::vector<Handler> handlers_;

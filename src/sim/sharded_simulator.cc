@@ -39,7 +39,7 @@ ShardedSimulator::~ShardedSimulator() {
   }
 }
 
-Scheduler* ShardedSimulator::shard(int index) {
+Simulator* ShardedSimulator::shard(int index) {
   FC_CHECK(index >= 0 && index < num_shards()) << "bad shard " << index;
   return &shards_[static_cast<size_t>(index)]->sim;
 }

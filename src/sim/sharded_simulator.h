@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/scheduler.h"
 #include "sim/simulator.h"
 
 namespace fastcommit::sim {
@@ -75,14 +74,14 @@ class ShardedSimulator {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Scheduler of the control plane. Control events may schedule onto any
+  /// Simulator of the control plane. Control events may schedule onto any
   /// shard (injection) and onto the control plane itself.
-  Scheduler* control() { return &control_; }
+  Simulator* control() { return &control_; }
 
-  /// Scheduler of shard `index`. Shard events must only schedule onto their
+  /// Simulator of shard `index`. Shard events must only schedule onto their
   /// own shard; their sole channels back to the control plane are
   /// PostEffect and state read later by control events.
-  Scheduler* shard(int index);
+  Simulator* shard(int index);
 
   /// Defers `fn` to the control plane. Callable from a shard event of shard
   /// `index` (including from a worker thread). Effects are applied at the

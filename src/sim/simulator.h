@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "sim/event_queue.h"
-#include "sim/scheduler.h"
 #include "sim/sim_time.h"
 
 namespace fastcommit::sim {
@@ -15,21 +15,27 @@ namespace fastcommit::sim {
 /// paper's complexity model in which only message delays advance time.
 ///
 /// All components of an execution (network links, process timers, crash
-/// injection) schedule callbacks through the Scheduler interface. A
-/// standalone run owns one Simulator; the sharded database runtime
-/// (sim/sharded_simulator.h) owns one per shard plus one for the control
-/// plane and merges them deterministically.
-class Simulator : public Scheduler {
+/// injection, commit instances, the database control plane) schedule
+/// callbacks on a Simulator. A standalone run owns one; the sharded
+/// database runtime (sim/sharded_simulator.h) owns one per shard plus one
+/// for the control plane and merges them deterministically, so a whole
+/// commit-instance cluster can be placed on any shard without code changes.
+class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current virtual time.
-  Time Now() const override { return now_; }
+  Time Now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= Now()).
-  void ScheduleAt(Time at, EventClass cls, std::function<void()> fn) override;
+  void ScheduleAt(Time at, EventClass cls, std::function<void()> fn);
+
+  /// Schedules `fn` after `delay` ticks (>= 0).
+  void ScheduleAfter(Time delay, EventClass cls, std::function<void()> fn) {
+    ScheduleAt(now_ + delay, cls, std::move(fn));
+  }
 
   /// Cancellable scheduling backed by the queue's lazy removal: a cancelled
   /// event neither runs nor advances the clock (NextEventTime/idle/Run all
@@ -37,8 +43,11 @@ class Simulator : public Scheduler {
   /// timers so a size-flushed batch stops stretching makespan by up to one
   /// window.
   EventId ScheduleCancellableAt(Time at, EventClass cls,
-                                std::function<void()> fn) override;
-  bool Cancel(EventId id) override { return queue_.Cancel(id); }
+                                std::function<void()> fn);
+  /// Cancels a pending event scheduled via ScheduleCancellableAt. Returns
+  /// true when the event was still pending and will now never run; false
+  /// for kNoEvent, an already-executed event, or a repeated cancel.
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   /// Executes events in order until the queue is empty or the next event is
   /// later than `deadline`. Returns the number of events executed.
@@ -59,7 +68,7 @@ class Simulator : public Scheduler {
   /// injecting work, so a recycled instance reads a deterministic epoch.
   void AdvanceTo(Time at);
 
-  bool idle() const override { return queue_.empty(); }
+  bool idle() const { return queue_.empty(); }
   int64_t events_executed() const { return events_executed_; }
 
  private:

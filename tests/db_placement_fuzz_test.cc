@@ -212,9 +212,9 @@ FuzzConfig DrawConfig(sim::Rng& rng) {
     config.fault_plan.crash_point = point;
     config.fault_plan.crash_at_occurrence =
         static_cast<int64_t>(rng.UniformInt(1, 16));
-    // >= 401 = unit * retry_backoff_units + 1, the simulator lookahead the
-    // Database ctor checks restart delays against (log off is the binding
-    // case).
+    // >= 401 = unit * Database::kRetryBackoffUnits + 1, the simulator
+    // lookahead the Database ctor checks restart delays against (log off
+    // is the binding case).
     config.fault_plan.coordinator_restart_delay =
         401 + 100 * rng.UniformInt(0, 12);
   }

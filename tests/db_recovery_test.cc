@@ -475,5 +475,43 @@ TEST(RecoveryEdgeTest, EmptyFaultPlanIsBitwiseNoop) {
   EXPECT_EQ(a.log_stats.appends, 0);
 }
 
+// ---------------------------------------------------- option checks --
+
+// Each fault-plan check the Database constructor makes dies loudly on a
+// bad plan; the restart-delay check is pinned at its exact boundary.
+void Construct(const Database::Options& options) { Database database(options); }
+
+TEST(DatabaseOptionsDeathTest, RestartDelayBelowLookaheadDies) {
+  Database::Options options;
+  options.fault_plan.crash_point = CrashPoint::kAfterPrepare;
+  // With the log off the simulator lookahead is unit * backoff + 1.
+  const sim::Time lookahead =
+      options.unit * Database::kRetryBackoffUnits + 1;
+  options.fault_plan.coordinator_restart_delay = lookahead;
+  Construct(options);
+  options.fault_plan.coordinator_restart_delay = lookahead - 1;
+  EXPECT_DEATH(Construct(options), "below the simulator lookahead");
+}
+
+TEST(DatabaseOptionsDeathTest, ParticipantCrashOnInlineReferenceDies) {
+  Database::Options options;
+  options.partition_parallel = false;
+  options.fault_plan.crash_partition = 0;
+  EXPECT_DEATH(Construct(options), "participant crashes need deferred flushes");
+}
+
+TEST(DatabaseOptionsDeathTest, CrashPartitionOutOfRangeDies) {
+  Database::Options options;
+  options.fault_plan.crash_partition = options.num_partitions;
+  EXPECT_DEATH(Construct(options), "out of range");
+}
+
+TEST(DatabaseOptionsDeathTest, CrashAfterAcceptWithoutLogDies) {
+  Database::Options options;
+  options.log_replicas = 0;
+  options.fault_plan.crash_point = CrashPoint::kAfterAccept;
+  EXPECT_DEATH(Construct(options), "crash-after-accept needs the commit log");
+}
+
 }  // namespace
 }  // namespace fastcommit::db
