@@ -262,39 +262,48 @@ void Database::Submit(Transaction tx, sim::Time at_ticks,
 void Database::SubmitArrivals(TrafficEngine* engine,
                               CompletionCallback on_complete) {
   FC_CHECK(engine != nullptr) << "null traffic engine";
-  // One shared callback for the whole stream (arrivals only ever copy the
-  // pointer), pumped one arrival per event so the queue never holds more
-  // than one future arrival of this stream.
-  ScheduleNextArrival(
-      engine, std::make_shared<CompletionCallback>(std::move(on_complete)));
+  // One callback for the whole stream, held by the stream record and
+  // pumped one arrival per event, so the queue never holds more than one
+  // future arrival of this stream.
+  streams_.push_back(std::make_unique<ArrivalStream>());
+  ArrivalStream* stream = streams_.back().get();
+  stream->engine = engine;
+  stream->on_complete = std::move(on_complete);
+  ScheduleNextArrival(stream);
 }
 
-void Database::ScheduleNextArrival(
-    TrafficEngine* engine, std::shared_ptr<CompletionCallback> on_complete) {
-  TrafficEngine::Arrival arrival;
-  if (!engine->Next(&arrival)) return;
-  sim_.control()->ScheduleAt(
-      std::max(arrival.at, sim_.Now()), sim::EventClass::kControl,
-      [this, engine, on_complete = std::move(on_complete),
-       tx = std::move(arrival.tx)]() mutable {
-        AdmitArrival(std::move(tx), on_complete);
-        ScheduleNextArrival(engine, std::move(on_complete));
-      });
+void Database::ScheduleNextArrival(ArrivalStream* stream) {
+  if (!stream->engine->Next(&stream->next)) {
+    streams_.erase(std::find_if(
+        streams_.begin(), streams_.end(),
+        [stream](const std::unique_ptr<ArrivalStream>& s) {
+          return s.get() == stream;
+        }));
+    return;
+  }
+  // The pending arrival stays in the stream record: two pointers fit
+  // std::function's inline buffer, so the event allocates nothing.
+  sim_.control()->ScheduleAt(std::max(stream->next.at, sim_.Now()),
+                             sim::EventClass::kControl, [this, stream] {
+                               AdmitArrival(std::move(stream->next.tx),
+                                            stream->on_complete);
+                               ScheduleNextArrival(stream);
+                             });
 }
 
-void Database::AdmitArrival(
-    Transaction tx, const std::shared_ptr<CompletionCallback>& on_complete) {
+void Database::AdmitArrival(Transaction tx,
+                            const CompletionCallback& on_complete) {
   ++stats_.offered;
   if (options_.max_inflight > 0 && inflight_ >= options_.max_inflight) {
     // Saturated: shed at admission instead of queueing unboundedly — the
     // open-loop analogue of a front door turning requests away. The
     // decision is a real kAbort, delivered immediately.
     ++stats_.shed;
-    if (*on_complete) (*on_complete)(tx, commit::Decision::kAbort);
+    if (on_complete) on_complete(tx, commit::Decision::kAbort);
     return;
   }
   ++inflight_;
-  Execute(PendingTx{std::move(tx), 1, *on_complete});
+  Execute(PendingTx{std::move(tx), 1, on_complete});
 }
 
 void Database::RouteOps(const std::vector<Op>& ops, std::vector<int>* touched,
@@ -433,14 +442,26 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   // sit ahead of these read tasks in the same partition FIFOs — the read
   // observes exactly the stable prefix, on any placement.
   const int64_t snapshot = last_csn_;
-  auto read = std::make_unique<SnapshotRead>();
+  std::unique_ptr<SnapshotRead> read;
+  if (read_pool_.empty()) {
+    read = std::make_unique<SnapshotRead>();
+  } else {
+    read = std::move(read_pool_.back());
+    read_pool_.pop_back();
+  }
   read->snapshot_csn = snapshot;
   read->op_slots.resize(ops.size());
+  read->filled.store(0, std::memory_order_relaxed);
 
   RouteOps(ops, &read_touched_, nullptr);
   // Size the slots before any pointer into them is taken (the SnapshotRead
   // itself is heap-pinned, so growth of pending_reads_ cannot move them).
-  read->values.resize(read_touched_.size());
+  // The vector only grows, so a recycled record's slots keep their
+  // capacity.
+  read->slots = static_cast<int>(read_touched_.size());
+  if (read->values.size() < read_touched_.size()) {
+    read->values.resize(read_touched_.size());
+  }
 
   sim::Time now = sim_.control()->Now();
   size_t cursor = 0;
@@ -452,8 +473,15 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
                                &read->filled);
   }
   // Claim the snapshot against GC until the read drains: commits deciding
-  // in between compute their prune watermark as the minimum claimed CSN.
-  ++active_snapshots_[snapshot];
+  // in between compute their prune watermark as the oldest claimed CSN.
+  if (snapshot_claims_.empty() || snapshot_claims_.back().csn != snapshot) {
+    FC_CHECK(snapshot_claims_.empty() ||
+             snapshot_claims_.back().csn < snapshot)
+        << "snapshot CSN " << snapshot << " claimed after CSN "
+        << snapshot_claims_.back().csn;
+    snapshot_claims_.push_back(SnapshotClaim{snapshot, 0});
+  }
+  ++snapshot_claims_.back().readers;
 
   // Completion is immediate — the read plane adds no virtual latency and
   // never aborts, so the open-loop admission window frees right away. The
@@ -472,43 +500,33 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
 }
 
 void Database::FinalizeSnapshotReads() {
-  if (pending_reads_.empty()) return;
   // Finalize the longest fully-filled *prefix*, in submit order: a down
   // partition defers its read tasks, which must keep every later read
   // pending too so the fingerprint fold order stays the submit order
   // whatever barrier each read completes at. With no participant crash
-  // every slot is filled by this barrier and the prefix is the whole list
-  // — exactly the old finalize-everything behavior.
+  // every slot is filled by this barrier and the prefix is the whole list.
   size_t done_count = 0;
   while (done_count < pending_reads_.size() &&
          pending_reads_[done_count]->filled.load(std::memory_order_acquire) ==
-             static_cast<int>(pending_reads_[done_count]->values.size())) {
+             pending_reads_[done_count]->slots) {
     ++done_count;
   }
   if (done_count == 0) return;
-  // Move the prefix out first: the observer may not re-enter the database,
-  // but FC_CHECK failures or future hooks should never walk a list being
-  // appended to.
-  std::vector<std::unique_ptr<SnapshotRead>> done;
-  done.reserve(done_count);
-  std::move(pending_reads_.begin(),
-            pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count),
-            std::back_inserter(done));
-  pending_reads_.erase(
-      pending_reads_.begin(),
-      pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count));
-  for (const std::unique_ptr<SnapshotRead>& read : done) {
+  // Folded in place (the observer may not re-enter the database); each
+  // record then returns to the pool with its vectors' capacity intact.
+  for (size_t r = 0; r < done_count; ++r) {
+    SnapshotRead& read = *pending_reads_[r];
     // Reassemble in op order: each partition slot holds its kGets' values
     // in program order, so one cursor per slot zips them back.
-    cursor_scratch_.assign(read->values.size(), 0);
+    cursor_scratch_.assign(static_cast<size_t>(read.slots), 0);
     values_scratch_.clear();
-    for (size_t i = 0; i < read->tx.ops.size(); ++i) {
-      size_t slot = static_cast<size_t>(read->op_slots[i]);
+    for (size_t i = 0; i < read.tx.ops.size(); ++i) {
+      size_t slot = static_cast<size_t>(read.op_slots[i]);
       size_t& cursor = cursor_scratch_[slot];
-      FC_CHECK(cursor < read->values[slot].size())
-          << "snapshot read of tx " << read->tx.id
+      FC_CHECK(cursor < read.values[slot].size())
+          << "snapshot read of tx " << read.tx.id
           << " returned fewer values than read ops at slot " << slot;
-      values_scratch_.push_back(std::move(read->values[slot][cursor]));
+      values_scratch_.push_back(std::move(read.values[slot][cursor]));
       ++cursor;
     }
     // Fold the values into the placement-invariance fingerprint (FNV-1a,
@@ -525,14 +543,30 @@ void Database::FinalizeSnapshotReads() {
       }
     }
     if (snapshot_observer_) {
-      snapshot_observer_(read->tx, read->snapshot_csn, values_scratch_);
+      snapshot_observer_(read.tx, read.snapshot_csn, values_scratch_);
     }
-    auto it = active_snapshots_.find(read->snapshot_csn);
-    FC_CHECK(it != active_snapshots_.end() && it->second > 0)
-        << "snapshot CSN " << read->snapshot_csn
-        << " finalized without an active claim";
-    if (--it->second == 0) active_snapshots_.erase(it);
+    FC_CHECK(!snapshot_claims_.empty() &&
+             snapshot_claims_.front().csn == read.snapshot_csn)
+        << "snapshot CSN " << read.snapshot_csn
+        << " finalized out of claim order";
+    if (--snapshot_claims_.front().readers == 0) snapshot_claims_.pop_front();
+    for (int slot = 0; slot < read.slots; ++slot) {
+      read.values[static_cast<size_t>(slot)].clear();
+    }
+    // The ops are the arrival's own and are never reused: free them now
+    // rather than pin them in the pool.
+    read.tx = Transaction{};
+    read_pool_.push_back(std::move(pending_reads_[r]));
   }
+  pending_reads_.erase(
+      pending_reads_.begin(),
+      pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count));
+  // Keep as many records as the largest recent batch needed, decaying by
+  // 1/64 per barrier: steady batches reuse the pool, but a one-off burst of
+  // pending reads does not pin its memory for the rest of the run.
+  read_pool_keep_ =
+      std::max(done_count, read_pool_keep_ - read_pool_keep_ / 64);
+  if (read_pool_.size() > read_pool_keep_) read_pool_.resize(read_pool_keep_);
 }
 
 void Database::Execute(PendingTx pending) {
@@ -1222,7 +1256,7 @@ const DatabaseStats& Database::Drain() {
       << "conflict-lookahead tracker not empty after drain";
   FC_CHECK(pending_reads_.empty())
       << "snapshot reads still pending after drain";
-  FC_CHECK(active_snapshots_.empty())
+  FC_CHECK(snapshot_claims_.empty())
       << "snapshot CSN claims leaked after drain";
   FC_CHECK(!down_) << "coordinator still down after drain";
   FC_CHECK(rounds_.empty()) << "in-flight rounds leaked after drain";

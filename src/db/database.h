@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,13 +19,12 @@
 #include "db/instance_pool.h"
 #include "db/participant.h"
 #include "db/partition_plane.h"
+#include "db/traffic.h"
 #include "db/transaction.h"
 #include "sim/rng.h"
 #include "sim/sharded_simulator.h"
 
 namespace fastcommit::db {
-
-class TrafficEngine;
 
 /// Bounded-memory latency accounting: exact streaming count/sum/min/max
 /// plus a fixed-size reservoir sample (algorithm R, dedicated deterministic
@@ -666,12 +666,16 @@ class Database {
   /// One snapshot read in flight between its Execute (tasks enqueued,
   /// completion already delivered) and the flush barrier that fills its
   /// value slots. Heap-allocated so the `values` vectors the plane holds
-  /// pointers into never move while the list grows.
+  /// pointers into never move while the list grows, and recycled through
+  /// read_pool_ so its vectors keep their capacity from read to read.
   struct SnapshotRead {
     Transaction tx;
     int64_t snapshot_csn = 0;
-    /// Per-touched-partition value slots, filled at the drain; sized
-    /// before any pointer into it is taken.
+    /// Touched partitions of this read: `values[0, slots)` are its slots.
+    int slots = 0;
+    /// Per-touched-partition value slots, filled at the drain. Grown (never
+    /// shrunk, so recycled slots keep their capacity) before any pointer
+    /// into it is taken; finalization empties the used ones.
     std::vector<std::vector<Value>> values;
     /// op index -> index into `values` of its partition's slot, for
     /// reassembling the results in op order at finalization.
@@ -748,15 +752,23 @@ class Database {
     int64_t rounds_observed = 0;
   };
 
+  /// One SubmitArrivals stream: its engine, the callback every arrival
+  /// shares, and the one pulled arrival whose admission event is pending.
+  /// Owned by streams_ until the engine runs dry, so the admission event
+  /// captures only (this, stream) and fits std::function's inline buffer.
+  struct ArrivalStream {
+    TrafficEngine* engine = nullptr;
+    CompletionCallback on_complete;
+    TrafficEngine::Arrival next;
+  };
+
   void Execute(PendingTx pending);
-  /// Pulls the next arrival from `engine` and schedules its admission
-  /// event, which re-arms itself — the self-rescheduling pump behind
-  /// SubmitArrivals.
-  void ScheduleNextArrival(TrafficEngine* engine,
-                           std::shared_ptr<CompletionCallback> on_complete);
+  /// Pulls the stream's next arrival and schedules its admission event,
+  /// which re-arms itself — the self-rescheduling pump behind
+  /// SubmitArrivals. Drops the stream once its engine is exhausted.
+  void ScheduleNextArrival(ArrivalStream* stream);
   /// Admission control for one open-loop arrival: shed or execute.
-  void AdmitArrival(Transaction tx,
-                    const std::shared_ptr<CompletionCallback>& on_complete);
+  void AdmitArrival(Transaction tx, const CompletionCallback& on_complete);
   /// The one router: sorts `ops` into route_ as (partition, op index)
   /// pairs, program order within a partition, and writes the sorted
   /// distinct partitions to `touched`. `hashes` (optional) receives each
@@ -789,16 +801,16 @@ class Database {
   /// votes, no messages, no pooled instance.
   void ExecuteSnapshotRead(PendingTx pending);
   /// Reassembles every drained snapshot read's values in op order, folds
-  /// the read fingerprint, fires the observer, and releases the read's
-  /// claim on the GC watermark. Runs inside FlushPartitionWork, after the
-  /// plane flush that filled the slots.
+  /// the read fingerprint, fires the observer, releases the read's claim
+  /// on the GC watermark and returns its record to read_pool_. Runs inside
+  /// FlushPartitionWork, after the plane flush that filled the slots.
   void FinalizeSnapshotReads();
-  /// Minimum CSN a live snapshot reader can still demand: the smallest
+  /// Minimum CSN a live snapshot reader can still demand: the oldest
   /// in-flight snapshot CSN, else the stable CSN (chains prune to length
   /// one when nobody is reading history).
   int64_t Watermark() const {
-    return active_snapshots_.empty() ? last_csn_
-                                     : active_snapshots_.begin()->first;
+    return snapshot_claims_.empty() ? last_csn_
+                                    : snapshot_claims_.front().csn;
   }
   /// Drains pending partition-plane tasks (no-op when none are pending)
   /// and finalizes the snapshot reads they filled.
@@ -984,14 +996,27 @@ class Database {
   /// CSN sequence — and everything derived from it — is placement
   /// invariant.
   int64_t last_csn_ = 0;
-  /// In-flight snapshot CSN refcounts (ordered: begin() is the GC
-  /// watermark floor). A read claims its CSN at Execute and releases it
-  /// when finalized.
-  std::map<int64_t, int64_t> active_snapshots_;
+  /// In-flight snapshot CSN claims as a FIFO of (csn, readers). A read
+  /// claims its CSN at Execute and releases it when finalized. Claims
+  /// arrive in nondecreasing CSN order (last_csn_ never decreases) and are
+  /// released in submit order (prefix finalization), so the front is the
+  /// GC watermark floor and every release hits the front (FC_CHECKed).
+  struct SnapshotClaim {
+    int64_t csn = 0;
+    int64_t readers = 0;
+  };
+  std::deque<SnapshotClaim> snapshot_claims_;
   /// Snapshot reads whose value slots await the next flush barrier, in
   /// submit (canonical) order — which is therefore the finalization and
   /// fingerprint-fold order, whatever barrier each read lands in.
   std::vector<std::unique_ptr<SnapshotRead>> pending_reads_;
+  /// Finalized SnapshotRead records, reused by the next reads, and how
+  /// many of them FinalizeSnapshotReads keeps (a decaying high-water mark
+  /// of the records one barrier finalized).
+  std::vector<std::unique_ptr<SnapshotRead>> read_pool_;
+  size_t read_pool_keep_ = 0;
+  /// Live SubmitArrivals streams (see ArrivalStream).
+  std::vector<std::unique_ptr<ArrivalStream>> streams_;
   SnapshotReadObserver snapshot_observer_;
   uint64_t read_fingerprint_ = 14695981039346656037ULL;  ///< FNV offset
   std::vector<Value> values_scratch_;   ///< reused finalize reassembly

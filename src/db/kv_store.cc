@@ -114,15 +114,22 @@ std::optional<Value> KvStore::Get(const Key& key) const {
 
 std::optional<Value> KvStore::GetAtSnapshot(const Key& key,
                                             int64_t snapshot_csn) const {
+  const Value* value = FindAtSnapshot(key, snapshot_csn);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const Value* KvStore::FindAtSnapshot(const Key& key,
+                                     int64_t snapshot_csn) const {
   const Entry* e = Find(key);
-  if (e == nullptr) return std::nullopt;
-  if (e->head.csn <= snapshot_csn) return e->head.value;
+  if (e == nullptr) return nullptr;
+  if (e->head.csn <= snapshot_csn) return &e->head.value;
   // Older versions are few (pruned to the GC watermark), so a backward
   // scan beats a binary search in practice.
   for (auto v = e->older.rbegin(); v != e->older.rend(); ++v) {
-    if (v->csn <= snapshot_csn) return v->value;
+    if (v->csn <= snapshot_csn) return &v->value;
   }
-  return std::nullopt;  // key born after the snapshot
+  return nullptr;  // key born after the snapshot
 }
 
 void KvStore::Put(const Key& key, Value value) {

@@ -55,6 +55,10 @@ class KvStore {
   /// (never written, or first written at a later CSN).
   std::optional<Value> GetAtSnapshot(const Key& key,
                                      int64_t snapshot_csn) const;
+  /// The same lookup without a copy: the stored value of that version, or
+  /// nullptr when the key did not exist at the snapshot. Valid until the
+  /// store is next mutated.
+  const Value* FindAtSnapshot(const Key& key, int64_t snapshot_csn) const;
 
   /// Non-transactional store: overwrites the chain head in place (chains
   /// start at CSN 0), preserving the pre-MVCC overwrite semantics for

@@ -160,8 +160,13 @@ void Participant::ReadAtSnapshot(int64_t snapshot_csn,
                                  std::vector<Value>* out) const {
   for (const Op& op : local_ops) {
     if (op.type != Op::Type::kGet) continue;
-    std::optional<Value> value = store_.GetAtSnapshot(op.key, snapshot_csn);
-    out->push_back(value.has_value() ? std::move(*value) : Value{});
+    // One copy per read: straight from the stored version into `out`.
+    const Value* value = store_.FindAtSnapshot(op.key, snapshot_csn);
+    if (value != nullptr) {
+      out->push_back(*value);
+    } else {
+      out->emplace_back();
+    }
   }
 }
 

@@ -57,11 +57,12 @@ class Participant {
 
   /// The lock-free read plane: serves every kGet of `local_ops` from the
   /// newest version <= `snapshot_csn`, appending one Value per read op to
-  /// `*out` (absent keys read as an empty Value). Touches no LockManager
-  /// or VersionTable state and mutates nothing — a pure chain lookup, in
-  /// either concurrency mode. Drained inside the partition FIFO (see
-  /// PartitionPlane::EnqueueSnapshotRead) so every commit with CSN <=
-  /// snapshot has applied before the read runs.
+  /// `*out` (absent keys read as an empty Value), each copied once
+  /// straight from the stored version (KvStore::FindAtSnapshot). Touches
+  /// no LockManager or VersionTable state and mutates nothing — a pure
+  /// chain lookup, in either concurrency mode. Drained inside the
+  /// partition FIFO (see PartitionPlane::EnqueueSnapshotRead) so every
+  /// commit with CSN <= snapshot has applied before the read runs.
   void ReadAtSnapshot(int64_t snapshot_csn, const std::vector<Op>& local_ops,
                       std::vector<Value>* out) const;
 

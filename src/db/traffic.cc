@@ -108,21 +108,25 @@ bool TrafficEngine::Next(Arrival* out) {
   if (generated_ >= options_.num_arrivals) return false;
   clock_ += NextGap();
   out->at = clock_;
-  out->tx = Transaction{};
   out->tx.id = options_.first_tx_id + generated_ + 1;
+  // Each shape reserves its op count before filling, so the vector never
+  // regrows; clear() lets a caller that reuses `out` keep its capacity.
+  std::vector<Op>& ops = out->tx.ops;
+  ops.clear();
   // The read-mix draw happens only when the knob is on: at the default
   // read_fraction = 0 this consumes nothing, so the golden sequences of
   // every pre-existing configuration stay bitwise identical.
   if (options_.read_fraction > 0.0 && rng_.Chance(options_.read_fraction)) {
+    ops.reserve(static_cast<size_t>(options_.reads_per_tx));
     for (int k = 0; k < options_.reads_per_tx; ++k) {
-      out->tx.ops.push_back(
-          Transaction::Get(ItemKey(static_cast<int>(SampleKey()))));
+      ops.push_back(Transaction::Get(ItemKey(static_cast<int>(SampleKey()))));
     }
     ++generated_;
     return true;
   }
   switch (options_.shape) {
     case TxShape::kTransferPair: {
+      ops.reserve(2);
       int64_t from = SampleKey();
       int64_t to = SampleKey();
       if (to == from) to = (to + 1) % options_.num_keys;
@@ -132,6 +136,7 @@ bool TrafficEngine::Next(Arrival* out) {
       break;
     }
     case TxShape::kReadModifyWrite:
+      ops.reserve(2 * static_cast<size_t>(options_.keys_per_tx));
       for (int k = 0; k < options_.keys_per_tx; ++k) {
         AppendReadModifyWriteOps(&out->tx,
                                  ItemKey(static_cast<int>(SampleKey())));

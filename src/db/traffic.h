@@ -84,8 +84,10 @@ struct TrafficOptions {
 /// Deterministic open-loop arrival stream: yields (arrival time,
 /// transaction) pairs one at a time, so a run over millions of keys and
 /// arrivals never materializes a workload vector. All randomness flows
-/// from one sim::Rng and all continuous math goes through sim::detmath,
-/// making the stream bitwise identical across platforms and placements —
+/// from one sim::Rng and all continuous math is defined by sim::detmath
+/// (the Zipf draw's guarded libm fast path reproduces it bitwise; see
+/// sim/rng.h), making the stream bitwise identical across platforms and
+/// placements —
 /// gated by the golden-sequence tests in tests/distribution_test.cc and
 /// the placement grids in tests/db_traffic_test.cc.
 ///

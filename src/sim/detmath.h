@@ -19,6 +19,12 @@ namespace fastcommit::sim::detmath {
 /// identical double on every conforming platform. Accuracy is ~1e-15
 /// relative — far more than any sampler needs — but the point is
 /// *reproducibility*, not precision.
+///
+/// These functions *define* every sampler's output. A hot sampler may
+/// still evaluate libm first when it can prove the result unchanged:
+/// ZipfSampler::Sample floors a libm rank only when it lies more than
+/// 1e-9 relative from every integer, and otherwise calls back into these
+/// (see sim/rng.h for the argument).
 
 inline constexpr double kLn2 = 0.6931471805599453094172321214581766;
 inline constexpr double kInvLn2 = 1.4426950408889634073599246810018921;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -114,6 +115,101 @@ TEST(DistributionTest, ZipfGoldenSequences) {
       EXPECT_EQ(zipf.Sample(rng), kGolden[i]) << "draw " << i;
     }
   }
+}
+
+/// FNV-1a fold over the little-endian bytes of `draws` consecutive ranks.
+uint64_t FoldRanks(const ZipfSampler& zipf, Rng& rng, int draws) {
+  uint64_t h = 14695981039346656037ULL;
+  for (int i = 0; i < draws; ++i) {
+    auto rank = static_cast<uint64_t>(zipf.Sample(rng));
+    for (int b = 0; b < 8; ++b) {
+      h ^= (rank >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(DistributionTest, ZipfBenchmarkConfigurationsPinned) {
+  // The first 100k ranks of the two benchmark key distributions, recorded
+  // from the detmath-only sampler before the libm fast path existed: the
+  // fast path must reproduce them bitwise.
+  {
+    Rng rng(1);
+    EXPECT_EQ(FoldRanks(ZipfSampler(1 << 16, 0.99), rng, 100000),
+              0xa66726271c56fe7cULL);
+  }
+  {
+    Rng rng(1);
+    EXPECT_EQ(FoldRanks(ZipfSampler(1 << 20, 0.7), rng, 100000),
+              0x34ea885c4c42ecf4ULL);
+  }
+}
+
+/// The configurations the fast path is checked on: both benchmark
+/// distributions, a small mild one, the log-uniform limit, and two
+/// exponents above 1 (negative powers).
+struct ZipfConfig {
+  int64_t items;
+  double exponent;
+};
+constexpr ZipfConfig kZipfConfigs[] = {
+    {1 << 16, 0.99}, {1 << 20, 0.7}, {1000, 0.5},
+    {1 << 20, 1.0},  {100, 2.5},     {1 << 16, 1.2},
+};
+
+TEST(DistributionTest, ZipfFastPathMatchesExactInverseCdf) {
+  // Differential check: the guarded libm rank equals the detmath inverse
+  // CDF — the definition — on every one of a million draws per
+  // configuration.
+  const int kDraws = 1000000;
+  for (const ZipfConfig& c : kZipfConfigs) {
+    ZipfSampler zipf(c.items, c.exponent);
+    Rng rng(static_cast<uint64_t>(c.items) + 17);
+    int64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      double u = rng.UniformDouble();
+      mismatches += zipf.RankAt(u) != zipf.ExactRankAt(u);
+    }
+    EXPECT_EQ(mismatches, 0)
+        << "ZipfSampler(" << c.items << ", " << c.exponent << ")";
+  }
+}
+
+TEST(DistributionTest, ZipfFastPathExactAtRankBoundaries) {
+  // Where the exact rank steps from r - 1 to r, libm and detmath differ
+  // by an ulp or two on which side of the integer they land, so an
+  // unguarded libm floor would disagree there. Bisect u down to the two
+  // adjacent doubles straddling ~1000 such steps and check both.
+  int checked = 0;
+  for (const ZipfConfig& c : kZipfConfigs) {
+    ZipfSampler zipf(c.items, c.exponent);
+    const int64_t steps = std::min<int64_t>(c.items - 1, 180);
+    int64_t target = 0;
+    for (int64_t i = 1; i <= steps; ++i) {
+      // Distinct target ranks spread geometrically over [1, items - 1].
+      double share = static_cast<double>(i) / static_cast<double>(steps);
+      target = std::max<int64_t>(
+          target + 1, static_cast<int64_t>(
+                          std::pow(static_cast<double>(c.items - 1), share)));
+      double lo = 0.0;                       // ExactRankAt(lo) < target
+      double hi = std::nextafter(1.0, 0.0);  // ExactRankAt(hi) >= target
+      if (zipf.ExactRankAt(hi) < target) continue;  // clamped tail
+      while (std::nextafter(lo, 1.0) < hi) {
+        double mid = lo + (hi - lo) / 2;
+        if (mid <= lo || mid >= hi) mid = std::nextafter(lo, 1.0);
+        (zipf.ExactRankAt(mid) >= target ? hi : lo) = mid;
+      }
+      ASSERT_EQ(zipf.RankAt(lo), zipf.ExactRankAt(lo))
+          << "ZipfSampler(" << c.items << ", " << c.exponent
+          << ") below the step to rank " << target << " at u = " << lo;
+      ASSERT_EQ(zipf.RankAt(hi), zipf.ExactRankAt(hi))
+          << "ZipfSampler(" << c.items << ", " << c.exponent
+          << ") above the step to rank " << target << " at u = " << hi;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 990);
 }
 
 TEST(DistributionTest, ZipfRanksStayInRangeAndSkewForward) {
