@@ -224,17 +224,7 @@ void Database::FlushPartitionWork() {
           << "' still locked by tx " << tx;
     };
     for (int p = 0; p < plane_.num_partitions(); ++p) {
-      if (options_.concurrency == ConcurrencyMode::kOCC) {
-        // Under OCC the lock manager is idle; the held footprint to sweep
-        // is the version table's locked words (write locks held between a
-        // validated prepare and its finish).
-        plane_.partition(p).versions().ForEachLocked(
-            [&check_tracked](const Key& key, TxId tx, uint64_t) {
-              check_tracked(key, tx);
-            });
-      } else {
-        plane_.partition(p).locks().ForEachHeldKey(check_tracked);
-      }
+      plane_.partition(p).locks().ForEachHeldKey(check_tracked);
     }
   }
 }
@@ -495,8 +485,16 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
 
   read->tx = std::move(pending.tx);
   pending_reads_.push_back(std::move(read));
-  // The inline reference reads (and finalizes) right away.
-  if (!options_.partition_parallel) FlushPartitionWork();
+  // The inline reference reads (and finalizes) right away; the deferred
+  // plane does once kMaxPendingReads reads wait, so read-only traffic
+  // holds a bounded backlog. The extra barrier changes no result: it runs
+  // queued tasks in the same FIFO order the next barrier would. While a
+  // crashed partition defers its reads, the finalized prefix cannot
+  // advance past them and every read flushes here until it recovers.
+  if (!options_.partition_parallel ||
+      pending_reads_.size() >= kMaxPendingReads) {
+    FlushPartitionWork();
+  }
 }
 
 void Database::FinalizeSnapshotReads() {
@@ -561,12 +559,9 @@ void Database::FinalizeSnapshotReads() {
   pending_reads_.erase(
       pending_reads_.begin(),
       pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count));
-  // Keep as many records as the largest recent batch needed, decaying by
-  // 1/64 per barrier: steady batches reuse the pool, but a one-off burst of
-  // pending reads does not pin its memory for the rest of the run.
-  read_pool_keep_ =
-      std::max(done_count, read_pool_keep_ - read_pool_keep_ / 64);
-  if (read_pool_.size() > read_pool_keep_) read_pool_.resize(read_pool_keep_);
+  if (read_pool_.size() > kMaxPendingReads) {
+    read_pool_.resize(kMaxPendingReads);
+  }
 }
 
 void Database::Execute(PendingTx pending) {
@@ -580,7 +575,7 @@ void Database::Execute(PendingTx pending) {
   }
   // The read-only plane: checked before any routing, locking, or
   // lookahead tracking, so a snapshot read leaves zero concurrency-control
-  // footprint in either mode (2PL locks and OCC version words alike).
+  // footprint in either mode.
   if (options_.snapshot_reads && IsReadOnly(pending.tx)) {
     ExecuteSnapshotRead(std::move(pending));
     return;

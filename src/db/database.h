@@ -176,6 +176,12 @@ class Database {
   /// minimum (unit * kRetryBackoffUnits + 1) is also the sharded
   /// simulator's run-ahead window.
   static constexpr int64_t kRetryBackoffUnits = 4;
+  /// Snapshot reads that may wait for a flush barrier before the read
+  /// itself forces one, and the most finalized read records kept for
+  /// reuse. Reads finalize only at barriers, so without the bound a
+  /// read-only stretch would hold every read's record, plane task and
+  /// values until the next write (or Drain).
+  static constexpr size_t kMaxPendingReads = 512;
 
   /// Final outcome of a submitted transaction: the protocol's real
   /// commit::Decision (after any retries), delivered from FinishTx. Runs on
@@ -201,12 +207,12 @@ class Database {
     /// Execution-layer concurrency control (see db/transaction.h). k2PL,
     /// the default, is the original no-wait shared/exclusive locking and
     /// leaves DatabaseStats bitwise unchanged for every existing
-    /// configuration. kOCC replaces hot-path locking with version-lock
-    /// validation (db/version_table.h): execution reads are lock-free
-    /// versioned reads, prepare runs lock-writes -> validate-reads, commit
-    /// publishes the new versions — and the validation outcome *is* the
-    /// participant's vote, so every commit protocol, batching mode, round
-    /// merge, and lookahead path runs unchanged on top. Read-mostly
+    /// configuration. kOCC keeps exclusive write locks but takes no lock
+    /// for a read: prepare only validates that no other in-flight
+    /// transaction holds a read key exclusively — and the validation
+    /// outcome *is* the participant's vote, so every commit protocol,
+    /// batching mode, round merge, and lookahead path runs unchanged on
+    /// top. Both modes share the partition's LockManager. Read-mostly
     /// workloads keep readers invisible to each other and to writers
     /// (bench_db_throughput --ablation-only quantifies the win); its stats
     /// are bitwise identical across shard/thread placements, like k2PL's.
@@ -797,8 +803,9 @@ class Database {
   /// The snapshot fast path (Options::snapshot_reads, read-only
   /// transactions): assigns the stable CSN, enqueues lock-free read tasks
   /// into the partition FIFOs, delivers kCommit immediately, and parks the
-  /// value slots in pending_reads_ for the next barrier. No locks, no
-  /// votes, no messages, no pooled instance.
+  /// value slots in pending_reads_ for the next barrier, flushing itself
+  /// once kMaxPendingReads reads wait. No locks, no votes, no messages, no
+  /// pooled instance.
   void ExecuteSnapshotRead(PendingTx pending);
   /// Reassembles every drained snapshot read's values in op order, folds
   /// the read fingerprint, fires the observer, releases the read's claim
@@ -1010,11 +1017,9 @@ class Database {
   /// submit (canonical) order — which is therefore the finalization and
   /// fingerprint-fold order, whatever barrier each read lands in.
   std::vector<std::unique_ptr<SnapshotRead>> pending_reads_;
-  /// Finalized SnapshotRead records, reused by the next reads, and how
-  /// many of them FinalizeSnapshotReads keeps (a decaying high-water mark
-  /// of the records one barrier finalized).
+  /// Finalized SnapshotRead records, reused by the next reads; at most
+  /// kMaxPendingReads are kept.
   std::vector<std::unique_ptr<SnapshotRead>> read_pool_;
-  size_t read_pool_keep_ = 0;
   /// Live SubmitArrivals streams (see ArrivalStream).
   std::vector<std::unique_ptr<ArrivalStream>> streams_;
   SnapshotReadObserver snapshot_observer_;

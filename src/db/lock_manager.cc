@@ -135,8 +135,12 @@ bool LockManager::HeldRecorded(const Key& key, TxId tx) const {
 }
 
 bool LockManager::HoldsExclusive(const Key& key, TxId tx) const {
+  return tx >= 0 && ExclusiveOwner(key) == tx;
+}
+
+TxId LockManager::ExclusiveOwner(const Key& key) const {
   auto it = locks_.find(key);
-  return it != locks_.end() && it->second.exclusive_owner == tx;
+  return it == locks_.end() ? -1 : it->second.exclusive_owner;
 }
 
 bool LockManager::HoldsShared(const Key& key, TxId tx) const {

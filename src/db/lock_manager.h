@@ -12,7 +12,9 @@ namespace fastcommit::db {
 /// Per-key shared/exclusive locks with no-wait conflict handling: a
 /// transaction that cannot acquire a lock is voted "no" by the partition
 /// (Helios-style conflict detection — the paper's motivating execution
-/// model), leaving deadlock avoidance to abort-and-retry.
+/// model), leaving deadlock avoidance to abort-and-retry. Both concurrency
+/// modes share it: 2PL takes shared locks for reads, OCC only probes
+/// ExclusiveOwner for them; writes lock exclusively in both.
 class LockManager {
  public:
   LockManager() = default;
@@ -26,10 +28,16 @@ class LockManager {
 
   /// Diagnostics.
   int64_t held_locks() const;
+  /// Keys with at least one holder (a released key's entry is erased, so
+  /// this is 0 whenever no transaction holds anything).
+  size_t size() const { return locks_.size(); }
   /// Locks held by one transaction (0 when it holds none) — the "no lock
   /// held by a finished transaction" probe of tests/lock_invariant_test.cc.
   int64_t held_by(TxId tx) const;
   bool HoldsExclusive(const Key& key, TxId tx) const;
+  /// The transaction holding `key` exclusively, -1 when none. A lookup
+  /// that never creates an entry (the OCC read probe).
+  TxId ExclusiveOwner(const Key& key) const;
   bool HoldsShared(const Key& key, TxId tx) const;
 
   /// Visits every (key, holder) pair once per holder, in unspecified

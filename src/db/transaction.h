@@ -13,22 +13,13 @@ using TxId = int64_t;
 
 /// Execution-layer concurrency control (Database::Options::concurrency).
 /// The commit protocols only consume votes, so the mode changes how a
-/// partition arrives at its vote — never how the vote is decided on.
+/// partition arrives at its vote — never how the vote is decided on. Both
+/// modes lock writes exclusively in one no-wait lock table
+/// (db/lock_manager.h); they differ only in what a read does there.
 enum class ConcurrencyMode : uint8_t {
-  k2PL,  ///< no-wait shared/exclusive locking (db/lock_manager.h)
-  kOCC,  ///< version-lock validation (db/version_table.h), lock-free reads
+  k2PL,  ///< reads take shared locks, held until Finish
+  kOCC,  ///< reads take no lock and validate against in-flight writers
 };
-
-/// One versioned read observed during OCC execution: the key and the
-/// version-lock word it read lock-free. Validation passes when the word's
-/// version is unchanged and the word is not locked by another transaction.
-struct ReadObservation {
-  Key key;
-  uint64_t word = 0;
-};
-/// The per-transaction read set a partition collects while executing under
-/// ConcurrencyMode::kOCC, then validates at prepare time.
-using ReadSet = std::vector<ReadObservation>;
 
 /// One operation in a transaction. kAdd treats the value as a signed
 /// 64-bit integer delta (the bank-transfer primitive); missing keys read

@@ -171,15 +171,11 @@ GeoRun RunGeoWorkload(Database::Options options, int shards, int threads,
   Database db(options);
   // Span classes cycle: single-partition, one-region pair, two-region
   // pair, three-region triple — every geo code path in one stream.
+  const std::vector<int> kSpans[] = {{}, {0, 3}, {1, 2}, {0, 1, 2}};
   int64_t committed = 0;
   for (TxId id = 1; id <= 120; ++id) {
-    std::vector<int> partitions;
-    switch (id % 4) {
-      case 0: partitions = {static_cast<int>(id) % 6}; break;
-      case 1: partitions = {0, 3}; break;
-      case 2: partitions = {1, 2}; break;
-      default: partitions = {0, 1, 2}; break;
-    }
+    std::vector<int> partitions = kSpans[id % 4];
+    if (id % 4 == 0) partitions.push_back(static_cast<int>(id) % 6);
     db.Submit(CrossPartitionTx(db, id, partitions), (id - 1) * kUnit / 2,
               [&committed](const Transaction&, commit::Decision decision) {
                 if (decision == commit::Decision::kCommit) ++committed;

@@ -1,104 +1,65 @@
-// OCC execution mode (ConcurrencyMode::kOCC): version-lock table unit
-// tests, Participant-level versioned read / validate / publish semantics
-// (read-only fast path, write skew, duplicate write keys, abort rollback),
-// and Database-level gates — conflict-free traffic must produce bitwise
-// the same stats as 2PL, contended traffic must fill exactly the
-// validation-failure abort bucket, and the bank invariant must survive
-// OCC commits.
+// OCC execution mode (ConcurrencyMode::kOCC): Participant-level
+// read-probe / validate semantics against the shared lock table (read-only
+// fast path, readers invisible to writers, write skew, duplicate write
+// keys, abort rollback), and Database-level gates — conflict-free traffic
+// must produce bitwise the same stats as 2PL, contended traffic must fill
+// exactly the validation-failure abort bucket, and the bank invariant must
+// survive OCC commits.
 
 #include <gtest/gtest.h>
 
 #include "commit/commit_protocol.h"
 #include "db/database.h"
 #include "db/participant.h"
-#include "db/version_table.h"
 #include "db/workload.h"
 
 namespace fastcommit::db {
 namespace {
 
-TEST(VersionTableTest, MissingKeyReadsUnlockedVersionZero) {
-  VersionTable table;
-  EXPECT_EQ(table.ReadWord("k"), 0u);
-  EXPECT_FALSE(VersionTable::Locked(table.ReadWord("k")));
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 0u);
-  EXPECT_EQ(table.OwnerOf("k"), -1);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(VersionTableTest, LockPublishCycleAdvancesVersion) {
-  VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 7));
-  EXPECT_TRUE(VersionTable::Locked(table.ReadWord("k")));
-  EXPECT_EQ(table.OwnerOf("k"), 7);
-  EXPECT_EQ(table.locked_words(), 1);
-  table.PublishIfOwned("k", 7);
-  uint64_t word = table.ReadWord("k");
-  EXPECT_FALSE(VersionTable::Locked(word));
-  EXPECT_EQ(VersionTable::VersionOf(word), 1u);
-  EXPECT_EQ(table.OwnerOf("k"), -1);
-  EXPECT_EQ(table.locked_words(), 0);
-  table.CheckInvariants();
-}
-
-TEST(VersionTableTest, NoWaitConflictAndSelfRelock) {
-  VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 1));
-  EXPECT_FALSE(table.TryLock("k", 2));  // held by another: no-wait fail
-  EXPECT_TRUE(table.TryLock("k", 1));   // own write-set re-lock succeeds
-  EXPECT_EQ(table.locked_words(), 1);
-  table.CheckInvariants();
-}
-
-TEST(VersionTableTest, UnlockErasesFreshEntries) {
-  VersionTable table;
-  ASSERT_TRUE(table.TryLock("fresh", 1));
-  table.UnlockIfOwned("fresh", 1);
-  // An aborted write of a never-published key must not leak an entry.
-  EXPECT_EQ(table.size(), 0u);
-  // A published key unlocks back to its version, entry retained.
-  ASSERT_TRUE(table.TryLock("pub", 1));
-  table.PublishIfOwned("pub", 1);
-  ASSERT_TRUE(table.TryLock("pub", 2));
-  table.UnlockIfOwned("pub", 2);
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("pub")), 1u);
-  table.CheckInvariants();
-}
-
-TEST(VersionTableTest, PublishAndUnlockAreOwnerGuardedAndIdempotent) {
-  VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 1));
-  table.PublishIfOwned("k", 2);  // non-owner: no-op
-  EXPECT_TRUE(VersionTable::Locked(table.ReadWord("k")));
-  table.PublishIfOwned("k", 1);
-  table.PublishIfOwned("k", 1);  // duplicate staged key: version moves once
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 1u);
-  table.UnlockIfOwned("k", 1);  // already unlocked: no-op
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 1u);
-  table.CheckInvariants();
-}
-
 TEST(ParticipantOccTest, ReadOnlyFastPathLeavesNoFootprint) {
   Participant p(0, ConcurrencyMode::kOCC);
   EXPECT_EQ(p.Prepare(1, {Transaction::Get("a"), Transaction::Get("b")}),
             commit::Vote::kYes);
-  // Nothing staged, nothing locked, nothing in the version table: the
-  // reader's Finish is a true no-op whichever decision arrives.
-  EXPECT_EQ(p.versions().size(), 0u);
-  EXPECT_EQ(p.versions().locked_words(), 0);
+  // Nothing staged and no lock entry at all — not even an empty one from
+  // the read probe: the reader's Finish is a true no-op whichever
+  // decision arrives.
+  EXPECT_EQ(p.locks().size(), 0u);
+  EXPECT_EQ(p.locks().held_by(1), 0);
+  p.CheckInvariants();
   p.Finish(1, commit::Decision::kCommit);
   p.CheckInvariants();
 }
 
+TEST(ParticipantOccTest, ReadersDoNotBlockWriters) {
+  Participant p(0, ConcurrencyMode::kOCC);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Get("k")}), commit::Vote::kYes);
+  // The in-flight reader holds nothing, so a writer of its key prepares
+  // (2PL would refuse it: reader-blocks-writer).
+  EXPECT_EQ(p.Prepare(2, {Transaction::Put("k", "v")}), commit::Vote::kYes);
+  EXPECT_EQ(p.conflicts(), 0);
+  EXPECT_TRUE(p.locks().HoldsExclusive("k", 2));
+  p.CheckInvariants();
+  p.Finish(2, commit::Decision::kCommit);
+  p.Finish(1, commit::Decision::kCommit);
+  EXPECT_EQ(p.locks().size(), 0u);
+}
+
 TEST(ParticipantOccTest, ReadModifyWriteValidatesAgainstOwnLock) {
   Participant p(0, ConcurrencyMode::kOCC);
-  // Get + Add on one key: phase 2 locks the key, phase 3 then re-reads it
-  // locked — by itself, which must validate.
+  // Get + Add on one key, in both orders: the read validates against the
+  // transaction's own exclusive lock.
   EXPECT_EQ(p.Prepare(1, {Transaction::Get("k"), Transaction::Add("k", 5)}),
             commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Add("j", 1), Transaction::Get("j")}),
+            commit::Vote::kYes);
+  EXPECT_EQ(p.locks().held_by(1), 1);
+  EXPECT_TRUE(p.locks().HoldsExclusive("k", 1));
+  p.CheckInvariants();
   p.Finish(1, commit::Decision::kCommit);
+  p.Finish(2, commit::Decision::kCommit);
   EXPECT_EQ(p.store().GetInt("k"), 5);
-  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord("k")), 1u);
+  EXPECT_EQ(p.store().GetInt("j"), 1);
+  EXPECT_EQ(p.locks().size(), 0u);
   p.CheckInvariants();
 }
 
@@ -109,17 +70,18 @@ TEST(ParticipantOccTest, ReaderFailsValidationWhileWriterHoldsLock) {
   EXPECT_EQ(p.Prepare(2, {Transaction::Get("k")}), commit::Vote::kNo);
   EXPECT_EQ(p.conflicts(), 1);
   p.Finish(1, commit::Decision::kCommit);
-  // After the publish the same read validates at the new version.
+  // After the commit released the lock the same read validates.
   EXPECT_EQ(p.Prepare(2, {Transaction::Get("k")}), commit::Vote::kYes);
   p.Finish(2, commit::Decision::kCommit);
+  EXPECT_EQ(p.locks().size(), 0u);
   p.CheckInvariants();
 }
 
 TEST(ParticipantOccTest, WriteSkewSecondTransactionRefused) {
   Participant p(0, ConcurrencyMode::kOCC);
-  // T1 reads a, writes b; T2 reads b, writes a. T1 holds b's version lock
-  // when T2 validates its read of b, so T2 votes No — the classic write
-  // skew is refused, not silently committed.
+  // T1 reads a, writes b; T2 reads b, writes a. T1 holds b's exclusive
+  // lock when T2 validates its read of b, so T2 votes No — the classic
+  // write skew is refused, not silently committed.
   ASSERT_EQ(
       p.Prepare(1, {Transaction::Get("a"), Transaction::Put("b", "1")}),
       commit::Vote::kYes);
@@ -127,28 +89,31 @@ TEST(ParticipantOccTest, WriteSkewSecondTransactionRefused) {
       p.Prepare(2, {Transaction::Get("b"), Transaction::Put("a", "2")}),
       commit::Vote::kNo);
   // T2's rollback must have dropped its own lock on a.
-  EXPECT_EQ(p.versions().OwnerOf("a"), -1);
+  EXPECT_EQ(p.locks().ExclusiveOwner("a"), -1);
+  EXPECT_EQ(p.locks().held_by(2), 0);
+  p.CheckInvariants();
   p.Finish(1, commit::Decision::kCommit);
   p.CheckInvariants();
 }
 
-TEST(ParticipantOccTest, DuplicateWriteKeysPublishOnce) {
+TEST(ParticipantOccTest, DuplicateWriteKeysLockOnce) {
   Participant p(0, ConcurrencyMode::kOCC);
   ASSERT_EQ(p.Prepare(1, {Transaction::Add("k", 1), Transaction::Add("k", 2)}),
             commit::Vote::kYes);
+  EXPECT_EQ(p.locks().held_by(1), 1);  // one lock record for the key...
+  p.CheckInvariants();
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 3);  // both ops applied...
-  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord("k")),
-            1u);  // ...but the version moved once
+  EXPECT_EQ(p.store().GetInt("k"), 3);  // ...but both ops applied
+  EXPECT_EQ(p.locks().size(), 0u);
   p.CheckInvariants();
 }
 
-TEST(ParticipantOccTest, AbortUnlocksWithoutPublishing) {
+TEST(ParticipantOccTest, AbortUnlocksWithoutApplying) {
   Participant p(0, ConcurrencyMode::kOCC);
   ASSERT_EQ(p.Prepare(1, {Transaction::Put("k", "v")}), commit::Vote::kYes);
   p.Finish(1, commit::Decision::kAbort);
   EXPECT_EQ(p.store().Get("k"), std::nullopt);
-  EXPECT_EQ(p.versions().size(), 0u);  // fresh key: entry erased entirely
+  EXPECT_EQ(p.locks().size(), 0u);  // the entry is erased entirely
   p.Finish(1, commit::Decision::kAbort);  // idempotent double finish
   p.CheckInvariants();
 }

@@ -189,7 +189,7 @@ FuzzConfig DrawConfig(sim::Rng& rng) {
   // read-only traffic it must change nothing, and off with read-only
   // traffic those transactions must ride the locked path bit-identically.
   config.snapshot_reads = rng.Chance(0.5);
-  // ~2/5 of configs run the OCC execution mode, so version-lock
+  // ~2/5 of configs run the OCC execution mode, so OCC read
   // validation is fuzzed through every protocol/batching/traffic
   // combination the rest of the draw produces.
   config.concurrency =
@@ -315,8 +315,8 @@ RunResult RunOne(const FuzzConfig& config, const Placement& placement) {
   }
   options.conflict_lookahead = placement.conflict_lookahead;
   // Cheap extra teeth: every flush barrier sweeps the per-partition lock
-  // (or, under OCC, version-table) invariants — only observed on the
-  // partition-parallel path — and, with lookahead on, the
+  // invariants (both modes) — only observed on the partition-parallel
+  // path — and, with lookahead on, the
   // tracker-vs-held-footprint soundness cross-check.
   options.check_invariants = true;
   Database database(options);
@@ -440,7 +440,7 @@ TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
   }
 }
 
-// The OCC acceptance grid: version-lock validation must be bitwise
+// The OCC acceptance grid: OCC read validation must be bitwise
 // placement-invariant exactly like 2PL — 1/2/8 shards × 1/4 threads ×
 // partition-parallel on/off, on a contended hotspot workload with real
 // validation failures and retries in play.
@@ -452,7 +452,7 @@ TEST(PlacementFuzzTest, AcceptanceGridOcc) {
     FuzzConfig config;
     config.protocol = protocol;
     config.concurrency = ConcurrencyMode::kOCC;
-    config.workload = 2;  // hotspot: write-write version-lock conflicts
+    config.workload = 2;  // hotspot: write-write lock conflicts
     config.num_partitions = 6;
     config.num_txs = 80;
     config.arrival_gap = 15;

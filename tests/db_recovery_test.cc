@@ -44,7 +44,6 @@ struct RunOutcome {
   int64_t log_max_executed = 0;
   uint64_t fingerprint = 0;
   int64_t held_locks = 0;
-  int64_t locked_words = 0;
   int64_t deferred_tasks = 0;
   int64_t down_noes = 0;
   /// Keys whose final value diverged from the delivered-commit ledger
@@ -112,7 +111,6 @@ RunOutcome RunTransfer(Database::Options options, int num_txs, uint64_t seed,
   out.total_balance = database.SumInts();
   for (int p = 0; p < database.num_partitions(); ++p) {
     out.held_locks += database.partition(p).locks().held_locks();
-    out.locked_words += database.partition(p).versions().locked_words();
   }
   return out;
 }
@@ -154,7 +152,6 @@ TEST_P(RecoveryProtocolTest, CrashAtEveryStepLosesNothing) {
     EXPECT_EQ(out.total_balance, 64 * 1000)
         << "transfers must conserve the total balance across the crash";
     EXPECT_EQ(out.held_locks, 0) << "orphaned locks after recovery";
-    EXPECT_EQ(out.locked_words, 0);
     EXPECT_GT(out.stats.committed, 0);
     // The crash interrupted real work: recovery had something to replay
     // (a tracked round, a parked arrival, or a presumed abort).
@@ -448,9 +445,9 @@ TEST(RecoveryEdgeTest, LookaheadTrackerSurvivesCoordinatorCrash) {
   EXPECT_EQ(out.held_locks, 0);
 }
 
-// OCC composes with recovery: version-lock words are released by the same
+// OCC composes with recovery: its write locks are released by the same
 // presumed-abort / redo paths that release 2PL locks.
-TEST(RecoveryEdgeTest, OccCrashRecoveryReleasesVersionLocks) {
+TEST(RecoveryEdgeTest, OccCrashRecoveryReleasesWriteLocks) {
   Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
   options.concurrency = ConcurrencyMode::kOCC;
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
@@ -459,8 +456,7 @@ TEST(RecoveryEdgeTest, OccCrashRecoveryReleasesVersionLocks) {
   RunOutcome out = RunTransfer(options, 250, 21);
   EXPECT_EQ(out.recovery.coordinator_crashes, 1);
   EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.locked_words, 0) << "orphaned version locks after recovery";
-  EXPECT_EQ(out.held_locks, 0);
+  EXPECT_EQ(out.held_locks, 0) << "orphaned write locks after recovery";
 }
 
 // Fault plan off + log off must leave every stat of a plain run untouched

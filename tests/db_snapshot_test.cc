@@ -484,7 +484,7 @@ void ExpectZeroFootprint(ConcurrencyMode mode) {
   for (int p = 0; p < database.num_partitions(); ++p) {
     EXPECT_EQ(database.partition(p).prepares(), 0);
     EXPECT_EQ(database.partition(p).locks().held_locks(), 0);
-    EXPECT_EQ(database.partition(p).versions().size(), 0u);
+    EXPECT_EQ(database.partition(p).locks().size(), 0u);
   }
 }
 
@@ -493,9 +493,8 @@ TEST(DatabaseSnapshotTest, ReadOnlyTrafficLeavesZeroFootprintUnder2pl) {
 }
 
 TEST(DatabaseSnapshotTest, ReadOnlyTrafficLeavesZeroFootprintUnderOcc) {
-  // The OCC satellite: both modes share one read plane — IsReadOnly routes
-  // around PrepareOcc entirely, so not even a versioned-read observation
-  // is made.
+  // Both modes share one read plane — IsReadOnly routes around
+  // Participant::Prepare entirely, so not even an OCC read probe is made.
   ExpectZeroFootprint(ConcurrencyMode::kOCC);
 }
 

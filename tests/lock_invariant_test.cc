@@ -1,9 +1,11 @@
-// Stress of the per-partition LockManager under partition-parallel prepare
-// (ISSUE 5): the debug CheckInvariants() hook runs at every partition-plane
-// flush barrier (Database::Options::check_invariants) while contended
-// workloads prepare, upgrade, batch, abort, and retry across worker
-// threads — catching any lock a finished transaction still holds, any
-// shared/exclusive coexistence, and any upgrade-path bookkeeping drift.
+// Stress of the per-partition LockManager under partition-parallel prepare,
+// in both concurrency modes (they share the lock table): the debug
+// CheckInvariants() hook runs at every partition-plane flush barrier
+// (Database::Options::check_invariants) while contended workloads prepare,
+// upgrade, batch, abort, and retry across worker threads — catching any
+// lock a finished transaction still holds, any shared/exclusive
+// coexistence, any upgrade-path bookkeeping drift, and any exclusive lock
+// left without a staged write.
 //
 // The LockManager-level tests below additionally pin each invariant
 // directly (including that CheckInvariants passes through the states the
@@ -82,19 +84,36 @@ struct StressSpec {
   int num_threads;
   sim::Time batch_window;
   bool adaptive;
+  ConcurrencyMode mode;
 };
+
+// Quiescent lock table: every release erases its key's entry and an OCC
+// read probe never creates one, so after a drain no partition keeps any.
+void ExpectNoLockEntries(Database& database) {
+  for (int p = 0; p < database.num_partitions(); ++p) {
+    EXPECT_EQ(database.partition(p).locks().size(), 0u)
+        << "partition " << p << " keeps lock entries after drain";
+  }
+}
 
 // Runs a contended mixed workload with invariant sweeps at every flush
 // barrier.
 DatabaseStats RunStress(Database& database) {
   // Read-modify-write exercises shared locks and the shared->exclusive
-  // upgrade on every transaction; the hotspot tail adds no-wait conflicts
-  // and the retry path.
+  // upgrade on every transaction under 2PL, and the read probe against the
+  // transaction's own write lock under OCC; the hotspot tail adds no-wait
+  // conflicts and the retry path; the read-mostly tail adds pure readers,
+  // whose keys no write of theirs covers (under OCC a read probe that
+  // left an entry behind would linger there).
   auto rmw = MakeReadModifyWriteWorkload(120, /*num_keys=*/40,
                                          /*keys_per_tx=*/3, /*seed=*/11);
   auto hot = MakeHotspotWorkload(80, /*num_keys=*/40, /*keys_per_tx=*/2,
                                  /*hot_keys=*/2, /*hot_probability=*/0.9,
                                  /*seed=*/12);
+  auto reads = MakeReadMostlyWorkload(
+      60, /*num_keys=*/40, /*hot_keys=*/4, /*reads_per_tx=*/3,
+      /*writes_per_tx=*/2, /*read_tx_fraction=*/0.7,
+      /*hot_probability=*/0.8, /*seed=*/13);
   sim::Time at = 0;
   for (auto& tx : rmw) {
     database.Submit(std::move(tx), at);
@@ -107,6 +126,11 @@ DatabaseStats RunStress(Database& database) {
     database.Submit(std::move(tx), at);
     at += 5;
   }
+  for (auto& tx : reads) {
+    tx.id += 2000;
+    database.Submit(std::move(tx), at);
+    at += 5;
+  }
   return database.Drain();
 }
 
@@ -114,6 +138,7 @@ Database::Options StressOptions(const StressSpec& spec) {
   Database::Options options;
   options.num_partitions = 6;
   options.protocol = core::ProtocolKind::kTwoPc;
+  options.concurrency = spec.mode;
   options.max_attempts = 3;
   options.num_shards = spec.num_shards;
   options.num_threads = spec.num_threads;
@@ -131,7 +156,7 @@ class LockInvariantStressTest
 TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
   Database database(StressOptions(GetParam()));
   DatabaseStats stats = RunStress(database);
-  EXPECT_EQ(stats.committed + stats.aborted, 200);
+  EXPECT_EQ(stats.committed + stats.aborted, 260);
   EXPECT_GT(stats.retries, 0) << "stress run should contend";
   // Quiescent end state: every transaction finished, so no partition may
   // hold a lock or a staged write for anyone.
@@ -141,6 +166,7 @@ TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
         << "partition " << p << " holds locks after drain";
     partition.CheckInvariants();
   }
+  ExpectNoLockEntries(database);
 }
 
 // "No lock held by a finished transaction", probed mid-workload: drain a
@@ -163,6 +189,7 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
   }
   database.Drain();
   ASSERT_EQ(finished.size(), 60u);
+  ExpectNoLockEntries(database);
   auto wave2 = MakeTransferWorkload(40, /*num_accounts=*/30,
                                     /*max_amount=*/10, /*seed=*/22);
   sim::Time at2 = database.Now() + 100;
@@ -180,21 +207,37 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
   }
   database.Drain();
   EXPECT_EQ(finished.size(), 100u);
+  ExpectNoLockEntries(database);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Placements, LockInvariantStressTest,
-    ::testing::Values(StressSpec{1, 1, 0, false},      // plane, single queue
-                      StressSpec{4, 1, 0, false},      // sharded homes
-                      StressSpec{8, 4, 0, false},      // threaded flushes
-                      StressSpec{8, 4, 200, false},    // + batched rounds
-                      StressSpec{8, 4, 100, true}),    // + adaptive windows
+    ::testing::ValuesIn([] {
+      // Every placement under both concurrency modes.
+      const StressSpec placements[] = {
+          {1, 1, 0, false, ConcurrencyMode::k2PL},    // plane, single queue
+          {4, 1, 0, false, ConcurrencyMode::k2PL},    // sharded homes
+          {8, 4, 0, false, ConcurrencyMode::k2PL},    // threaded flushes
+          {8, 4, 200, false, ConcurrencyMode::k2PL},  // + batched rounds
+          {8, 4, 100, true, ConcurrencyMode::k2PL},   // + adaptive windows
+      };
+      std::vector<StressSpec> specs;
+      for (ConcurrencyMode mode :
+           {ConcurrencyMode::k2PL, ConcurrencyMode::kOCC}) {
+        for (StressSpec spec : placements) {
+          spec.mode = mode;
+          specs.push_back(spec);
+        }
+      }
+      return specs;
+    }()),
     [](const ::testing::TestParamInfo<StressSpec>& info) {
       const StressSpec& spec = info.param;
       return "shards" + std::to_string(spec.num_shards) + "threads" +
              std::to_string(spec.num_threads) + "window" +
              std::to_string(spec.batch_window) +
-             (spec.adaptive ? "adaptive" : "");
+             (spec.adaptive ? "adaptive" : "") +
+             (spec.mode == ConcurrencyMode::kOCC ? "occ" : "");
     });
 
 }  // namespace
