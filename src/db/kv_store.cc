@@ -74,8 +74,33 @@ const KvStore::Entry* KvStore::Find(const Key& key) const {
   return &entry(PosOf(slot));
 }
 
-KvStore::Entry& KvStore::FindOrInsert(const Key& key, bool* inserted) {
+uint32_t KvStore::PrefetchSlot(const Key& key) const {
   uint32_t tag = Tag(key);
+  if (!index_.empty()) __builtin_prefetch(&index_[tag & (index_.size() - 1)]);
+  return tag;
+}
+
+void KvStore::PrefetchEntry(uint32_t tag) const {
+  if (index_.empty()) return;
+  size_t mask = index_.size() - 1;
+  for (size_t pos = tag & mask;; pos = (pos + 1) & mask) {
+    uint64_t slot = index_[pos];
+    if (slot == 0) return;  // absent: Apply will insert, nothing to fetch
+    if (TagOf(slot) == tag) {
+      // Chunks are only 16-byte aligned, so an entry can straddle one more
+      // line than its size needs: fetch every 64th byte and the last one.
+      const char* first = reinterpret_cast<const char*>(&entry(PosOf(slot)));
+      for (size_t offset = 0; offset < sizeof(Entry); offset += 64) {
+        __builtin_prefetch(first + offset);
+      }
+      __builtin_prefetch(first + sizeof(Entry) - 1);
+      return;
+    }
+  }
+}
+
+KvStore::Entry& KvStore::FindOrInsert(const Key& key, uint32_t tag,
+                                      bool* inserted) {
   if (index_.empty()) Grow();
   size_t pos = Probe(key, tag);
   *inserted = index_[pos] == 0;
@@ -134,7 +159,7 @@ const Value* KvStore::FindAtSnapshot(const Key& key,
 
 void KvStore::Put(const Key& key, Value value) {
   bool inserted;
-  Entry& e = FindOrInsert(key, &inserted);
+  Entry& e = FindOrInsert(key, Tag(key), &inserted);
   if (inserted) ++total_versions_;
   e.head.value = std::move(value);
 }
@@ -175,11 +200,12 @@ bool KvStore::Erase(const Key& key) {
   return true;
 }
 
-void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
+void KvStore::Apply(const Op& op, uint32_t tag, int64_t csn,
+                    int64_t gc_watermark) {
   if (op.type == Op::Type::kGet) return;  // reads mutate nothing
   // One probe: the kAdd base and the write both come from this entry.
   bool inserted;
-  Entry& e = FindOrInsert(op.key, &inserted);
+  Entry& e = FindOrInsert(op.key, tag, &inserted);
   Value value;
   if (op.type == Op::Type::kPut) {
     value = op.value;

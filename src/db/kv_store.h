@@ -38,6 +38,18 @@ namespace fastcommit::db {
 /// full key. A lookup is one index probe plus one entry. Erase
 /// backward-shifts the probe cluster and moves the last entry into the
 /// hole. Iteration order is unspecified; only order-free folds use it.
+///
+/// Over a store larger than the cache, a lookup pays two misses: the index
+/// slot, then the entry (96 B, so two or three cache lines). A commit's
+/// write keys are known at Prepare, protocol delays before the write
+/// applies, so the commit path hides both misses in two read-only stages:
+/// PrefetchSlot at Prepare hashes the key, prefetches its home slot and
+/// returns the tag; PrefetchEntry(tag) once the commit is decided walks
+/// the now-cached probe sequence and prefetches the entry; Apply(op, tag,
+/// ...) then finds both in cache and hashes nothing. The hints keep no
+/// positions or pointers — Grow moves the index and Erase moves entries —
+/// so a stale hint costs one wasted prefetch and can never change what a
+/// lookup returns.
 class KvStore {
  public:
   KvStore() = default;
@@ -74,10 +86,27 @@ class KvStore {
   /// `gc_watermark` (see Truncate); pass 0 to keep everything. When the
   /// watermark is at or above `csn` (no live reader below the commit) the
   /// new version overwrites the head and drops the older versions: one
-  /// index probe, one entry touched. The single write-application site
-  /// both concurrency modes' Finish paths share, so commit semantics
-  /// cannot drift between them.
-  void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0);
+  /// index probe, one entry touched. The single write-application site:
+  /// every commit's Participant::Finish applies through it.
+  void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0) {
+    Apply(op, Tag(op.key), csn, gc_watermark);
+  }
+  /// The same with the key's hash tag already computed (`tag` must equal
+  /// Tag(op.key); Participant::CheckInvariants checks its staged tags).
+  void Apply(const Op& op, uint32_t tag, int64_t csn, int64_t gc_watermark);
+
+  /// The hash tag that homes `key` in the index: a pure function of the
+  /// key, unchanged by Grow and Erase.
+  static uint32_t Tag(const Key& key);
+  /// Stage 1 of the commit-apply prefetch: hashes `key`, prefetches its
+  /// home index slot and returns Tag(key). Touches no entry and changes
+  /// nothing.
+  uint32_t PrefetchSlot(const Key& key) const;
+  /// Stage 2: walks the probe sequence of `tag` to the first tag match or
+  /// empty slot and prefetches every cache line of that entry. Compares no
+  /// keys (a tag collision prefetches the wrong entry, harmlessly) and
+  /// changes nothing.
+  void PrefetchEntry(uint32_t tag) const;
 
   /// Interprets the newest value (or 0 if absent) as an int64, adds
   /// `delta` and stores the result at the chain head (non-transactional,
@@ -129,7 +158,6 @@ class KvStore {
   static constexpr uint32_t kChunkShift = 9;
   static constexpr uint32_t kChunkSize = uint32_t{1} << kChunkShift;
 
-  static uint32_t Tag(const Key& key);
   static uint64_t Slot(uint32_t tag, uint32_t pos) {
     return (uint64_t{tag} << 32) | (uint64_t{pos} + 1);
   }
@@ -149,9 +177,10 @@ class KvStore {
   /// ends its probe sequence when absent. The index must be non-empty.
   size_t Probe(const Key& key, uint32_t tag) const;
   const Entry* Find(const Key& key) const;
-  /// The entry of `key`, appended (empty, head at CSN 0, not yet counted
-  /// in total_versions_) when absent; `*inserted` says which.
-  Entry& FindOrInsert(const Key& key, bool* inserted);
+  /// The entry of `key` (hash tag `tag`), appended (empty, head at CSN 0,
+  /// not yet counted in total_versions_) when absent; `*inserted` says
+  /// which.
+  Entry& FindOrInsert(const Key& key, uint32_t tag, bool* inserted);
   /// Doubles the index (minimum 16 slots), re-placing slots by their tags.
   void Grow();
   /// Prunes one chain to `watermark` (see Truncate); returns drops.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/check.h"
 
@@ -15,7 +16,7 @@ bool LockManager::TryLockShared(const Key& key, TxId tx) {
                               state.shared_owners.end(), tx);
   if (pos == state.shared_owners.end() || *pos != tx) {
     state.shared_owners.insert(pos, tx);
-    held_[tx].push_back(key);
+    Record(tx, key);
   }
   return true;
 }
@@ -32,8 +33,17 @@ bool LockManager::TryLockExclusive(const Key& key, TxId tx) {
   bool was_shared = !state.shared_owners.empty();
   state.shared_owners.clear();
   state.exclusive_owner = tx;
-  if (!was_shared) held_[tx].push_back(key);
+  if (!was_shared) Record(tx, key);
   return true;
+}
+
+void LockManager::Record(TxId tx, const Key& key) {
+  auto [it, inserted] = held_.try_emplace(tx);
+  if (inserted && !spare_held_.empty()) {
+    it->second = std::move(spare_held_.back());
+    spare_held_.pop_back();
+  }
+  it->second.push_back(key);
 }
 
 void LockManager::ReleaseAll(TxId tx) {
@@ -52,6 +62,10 @@ void LockManager::ReleaseAll(TxId tx) {
     if (state.exclusive_owner < 0 && state.shared_owners.empty()) {
       locks_.erase(lock_it);
     }
+  }
+  if (spare_held_.size() < kMaxSpareHeld) {
+    it->second.clear();
+    spare_held_.push_back(std::move(it->second));
   }
   held_.erase(it);
 }

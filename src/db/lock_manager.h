@@ -1,6 +1,7 @@
 #ifndef FASTCOMMIT_DB_LOCK_MANAGER_H_
 #define FASTCOMMIT_DB_LOCK_MANAGER_H_
 
+#include <cstddef>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -70,12 +71,19 @@ class LockManager {
     std::vector<TxId> shared_owners;
   };
 
+  /// Released transactions' held_ vectors kept for reuse, at most this
+  /// many (a bound, not a target: in-flight transactions are few).
+  static constexpr size_t kMaxSpareHeld = 64;
+
   /// True when held_[tx] records `key` (linear in that transaction's held
   /// set; CheckInvariants-only).
   bool HeldRecorded(const Key& key, TxId tx) const;
+  /// Appends `key` to held_[tx], taking a spare vector for a new record.
+  void Record(TxId tx, const Key& key);
 
   std::unordered_map<Key, LockState> locks_;
   std::unordered_map<TxId, std::vector<Key>> held_;
+  std::vector<std::vector<Key>> spare_held_;
 };
 
 }  // namespace fastcommit::db

@@ -1,5 +1,7 @@
 #include "db/participant.h"
 
+#include <utility>
+
 #include "core/check.h"
 
 namespace fastcommit::db {
@@ -45,11 +47,24 @@ void Participant::StageWrites(TxId tx, const std::vector<Op>& local_ops) {
     }
   }
   if (!has_writes) return;
-  std::vector<Op>& staged = staged_[tx];
+  auto [it, inserted] = staged_.try_emplace(tx);
+  std::vector<StagedWrite>& staged = it->second;
+  if (inserted && !spare_staged_.empty()) {
+    staged = std::move(spare_staged_.back());
+    spare_staged_.pop_back();
+  }
   staged.clear();
   for (const Op& op : local_ops) {
-    if (op.type != Op::Type::kGet) staged.push_back(op);
+    if (op.type == Op::Type::kGet) continue;
+    uint32_t tag = store_.PrefetchSlot(op.key);
+    staged.push_back(StagedWrite{op, tag});
   }
+}
+
+void Participant::PrefetchFinish(TxId tx) const {
+  auto it = staged_.find(tx);
+  if (it == staged_.end()) return;
+  for (const StagedWrite& write : it->second) store_.PrefetchEntry(write.tag);
 }
 
 void Participant::Finish(TxId tx, commit::Decision decision, int64_t csn,
@@ -60,7 +75,13 @@ void Participant::Finish(TxId tx, commit::Decision decision, int64_t csn,
   auto it = staged_.find(tx);
   if (it != staged_.end()) {
     if (decision == commit::Decision::kCommit) {
-      for (const Op& op : it->second) store_.Apply(op, csn, gc_watermark);
+      for (const StagedWrite& write : it->second) {
+        store_.Apply(write.op, write.tag, csn, gc_watermark);
+      }
+    }
+    if (spare_staged_.size() < kMaxSpareStaged) {
+      it->second.clear();
+      spare_staged_.push_back(std::move(it->second));
     }
     staged_.erase(it);
   }
@@ -85,14 +106,18 @@ void Participant::ReadAtSnapshot(int64_t snapshot_csn,
 void Participant::CheckInvariants() const {
   store_.CheckInvariants();
   locks_.CheckInvariants();
-  for (const auto& [tx, ops] : staged_) {
-    FC_CHECK(!ops.empty())
+  for (const auto& [tx, writes] : staged_) {
+    FC_CHECK(!writes.empty())
         << "partition " << partition_id_ << ": empty staged entry for tx "
         << tx << " (read-only op sets must not stage)";
-    for (const Op& op : ops) {
+    for (const auto& [op, tag] : writes) {
       FC_CHECK(op.type != Op::Type::kGet)
           << "partition " << partition_id_ << ": read op staged for tx "
           << tx;
+      FC_CHECK(tag == KvStore::Tag(op.key))
+          << "partition " << partition_id_ << ": tx " << tx
+          << " staged a write to '" << op.key << "' with tag " << tag
+          << ", not its hash tag " << KvStore::Tag(op.key);
       FC_CHECK(locks_.HoldsExclusive(op.key, tx))
           << "partition " << partition_id_ << ": tx " << tx
           << " staged a write to '" << op.key
@@ -108,8 +133,8 @@ void Participant::CheckInvariants() const {
     auto staged = staged_.find(owner);
     bool live = false;
     if (staged != staged_.end()) {
-      for (const Op& op : staged->second) {
-        if (op.key == key) {
+      for (const StagedWrite& write : staged->second) {
+        if (write.op.key == key) {
           live = true;
           break;
         }

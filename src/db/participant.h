@@ -1,6 +1,8 @@
 #ifndef FASTCOMMIT_DB_PARTICIPANT_H_
 #define FASTCOMMIT_DB_PARTICIPANT_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +56,13 @@ class Participant {
   void Finish(TxId tx, commit::Decision decision, int64_t csn = 0,
               int64_t gc_watermark = 0);
 
+  /// Stage 2 of the commit-apply prefetch (stage 1 ran in Prepare):
+  /// prefetches the store entries `tx`'s staged writes will touch, so the
+  /// Finish that applies them at the next barrier finds them in cache.
+  /// Const and harmless when `tx` staged nothing here. Called on the
+  /// control plane between flushes (PartitionPlane::EnqueueFinish).
+  void PrefetchFinish(TxId tx) const;
+
   /// The lock-free read plane: serves every kGet of `local_ops` from the
   /// newest version <= `snapshot_csn`, appending one Value per read op to
   /// `*out` (absent keys read as an empty Value), each copied once
@@ -74,7 +83,9 @@ class Participant {
 
   /// Debug invariant sweep, FC_CHECKs on violation, the same in both
   /// modes: the lock manager's bookkeeping is internally consistent (see
-  /// LockManager::CheckInvariants); every staged write's key is still
+  /// LockManager::CheckInvariants); every staged write carries its key's
+  /// hash tag (Finish applies through it, so a stale tag would probe the
+  /// wrong index home); every staged write's key is still
   /// exclusive-locked by the staging transaction — a staged entry whose
   /// lock was released would let a concurrent prepare write under it; and
   /// — the other direction — no exclusive lock survives without a live
@@ -88,15 +99,27 @@ class Participant {
   int64_t conflicts() const { return conflicts_; }
 
  private:
+  /// A write waiting for its transaction's decision, with the key's hash
+  /// tag from KvStore::PrefetchSlot so Finish hashes nothing again.
+  struct StagedWrite {
+    Op op;
+    uint32_t tag = 0;
+  };
+
+  /// Finished transactions' staged vectors kept for reuse, at most this
+  /// many (a bound, not a target: in-flight transactions are few).
+  static constexpr size_t kMaxSpareStaged = 64;
+
   /// Stages the write ops of `local_ops` for `tx` (no-op for read-only op
-  /// sets).
+  /// sets) and issues stage 1 of their prefetch.
   void StageWrites(TxId tx, const std::vector<Op>& local_ops);
 
   int partition_id_;
   ConcurrencyMode mode_;
   KvStore store_;
   LockManager locks_;
-  std::unordered_map<TxId, std::vector<Op>> staged_;
+  std::unordered_map<TxId, std::vector<StagedWrite>> staged_;
+  std::vector<std::vector<StagedWrite>> spare_staged_;
   int64_t prepares_ = 0;
   int64_t conflicts_ = 0;
 };

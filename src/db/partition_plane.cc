@@ -126,6 +126,13 @@ void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
   q.tasks.push_back(Task{TaskKind::kFinish, tx, decision, csn, gc_watermark,
                          nullptr, nullptr, {}});
   ++pending_tasks_;
+  // Stage 2 of the commit-apply prefetch: the writes apply at the next
+  // barrier, so start fetching their entries now. Safe on this thread: no
+  // flush is running, and the hint only reads. A down partition defers
+  // its finish past the restart, by which time the lines are long gone.
+  if (decision == commit::Decision::kCommit && !q.down) {
+    q.participant->PrefetchFinish(tx);
+  }
 }
 
 void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,

@@ -109,6 +109,9 @@ class PartitionPlane {
   /// `gc_watermark` the reader low-watermark the touched chains may be
   /// pruned to — both computed on the control plane at enqueue time, so a
   /// stale (smaller) watermark at drain time only prunes less, never more.
+  /// A commit at a partition that is up also prefetches the store entries
+  /// its writes will touch (Participant::PrefetchFinish), so the apply at
+  /// the barrier does not pay their cache misses.
   void EnqueueFinish(int partition, sim::Time at, TxId tx,
                      commit::Decision decision, int64_t csn = 0,
                      int64_t gc_watermark = 0);

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "db/database.h"
 #include "db/kv_store.h"
@@ -147,6 +151,157 @@ TEST(KvStoreTest, CopyMutatesIndependentlyOfItsSource) {
   EXPECT_EQ(assigned.Get("again"), "1");
 }
 
+// Everything a reader can observe of `a` and `b` over `keys`, compared:
+// size, version count, each key's head, chain length and the version a
+// snapshot at every CSN up to `max_csn` resolves to; both stores must also
+// pass their own invariant sweep.
+void ExpectSameStore(const KvStore& a, const KvStore& b,
+                     const std::vector<Key>& keys, int64_t max_csn) {
+  a.CheckInvariants();
+  b.CheckInvariants();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.total_versions(), b.total_versions());
+  EXPECT_EQ(a.SumInts(), b.SumInts());
+  for (const Key& key : keys) {
+    ASSERT_EQ(a.Get(key), b.Get(key)) << key;
+    ASSERT_EQ(a.versions(key), b.versions(key)) << key;
+    for (int64_t csn = 0; csn <= max_csn; ++csn) {
+      ASSERT_EQ(a.GetAtSnapshot(key, csn), b.GetAtSnapshot(key, csn))
+          << key << " at " << csn;
+    }
+  }
+}
+
+std::vector<Key> NumberedKeys(int count) {
+  std::vector<Key> keys;
+  for (int i = 0; i < count; ++i) keys.push_back("k" + std::to_string(i));
+  return keys;
+}
+
+TEST(KvStoreTest, PrefetchHintsLeaveTheStoreUnchanged) {
+  // Empty store: no index to touch, and the tag is still the key's.
+  KvStore empty;
+  uint32_t tag = empty.PrefetchSlot("a");
+  EXPECT_EQ(tag, KvStore::Tag("a"));
+  empty.PrefetchEntry(tag);
+  ExpectSameStore(empty, KvStore(), {"a"}, 1);
+  KvStore plain;
+  empty.Apply(Transaction::Add("a", 3), tag, /*csn=*/1, /*gc_watermark=*/0);
+  plain.Apply(Transaction::Add("a", 3), /*csn=*/1);
+  ExpectSameStore(empty, plain, {"a"}, 1);
+
+  // Absent key: stage 2 stops at the empty slot ending its probe.
+  std::vector<Key> keys = NumberedKeys(100);
+  keys.push_back("missing");
+  KvStore hinted;
+  for (int i = 0; i < 100; ++i) hinted.Put(keys[static_cast<size_t>(i)], "1");
+  plain = hinted;
+  tag = hinted.PrefetchSlot("missing");
+  hinted.PrefetchEntry(tag);
+  for (int i = 0; i < 100; i += 7) {
+    hinted.PrefetchEntry(hinted.PrefetchSlot(keys[static_cast<size_t>(i)]));
+  }
+  ExpectSameStore(hinted, plain, keys, 2);
+  hinted.Apply(Transaction::Add("missing", 5), tag, 2, 0);
+  plain.Apply(Transaction::Add("missing", 5), 2);
+  ExpectSameStore(hinted, plain, keys, 2);
+}
+
+TEST(KvStoreTest, PrefetchHintsSurviveGrowAndErase) {
+  // Tags taken before a Grow (8 keys fill the 16-slot index; the 9th
+  // doubles it) stay valid after it: they name keys, not slots.
+  std::vector<Key> keys = NumberedKeys(40);
+  keys.push_back("fresh");
+  KvStore hinted;
+  for (int i = 0; i < 8; ++i) hinted.Put(keys[static_cast<size_t>(i)], "1");
+  KvStore plain = hinted;
+  uint32_t present = hinted.PrefetchSlot("k3");
+  uint32_t fresh = hinted.PrefetchSlot("fresh");
+  hinted.PrefetchEntry(present);
+  for (int i = 8; i < 40; ++i) {
+    hinted.Put(keys[static_cast<size_t>(i)], "1");
+    plain.Put(keys[static_cast<size_t>(i)], "1");
+  }
+  hinted.PrefetchEntry(present);
+  hinted.PrefetchEntry(fresh);
+  hinted.Apply(Transaction::Add("k3", 2), present, 1, 0);
+  hinted.Apply(Transaction::Put("fresh", "9"), fresh, 1, 0);
+  plain.Apply(Transaction::Add("k3", 2), 1);
+  plain.Apply(Transaction::Put("fresh", "9"), 1);
+  ExpectSameStore(hinted, plain, keys, 1);
+
+  // An Erase moves the last entry into the hole: a hint taken for the
+  // moved key before the Erase still leads Apply to it afterwards.
+  const Key& last = keys[39];
+  uint32_t moved = hinted.PrefetchSlot(last);
+  hinted.PrefetchEntry(moved);
+  EXPECT_TRUE(hinted.Erase("k0"));
+  EXPECT_TRUE(plain.Erase("k0"));
+  hinted.PrefetchEntry(moved);
+  ExpectSameStore(hinted, plain, keys, 2);
+  hinted.Apply(Transaction::Add(last, 4), moved, 2, 2);
+  plain.Apply(Transaction::Add(last, 4), 2, 2);
+  ExpectSameStore(hinted, plain, keys, 2);
+  EXPECT_EQ(hinted.GetInt(last), 5);
+}
+
+TEST(KvStoreTest, TaggedApplyMatchesUntaggedApply) {
+  // Differential over a random op stream: one store applies through the
+  // two-stage hints and the staged tags, the other through the plain
+  // Apply. Transactions of 1-3 ops (a second op on a key updates the same
+  // version), kPut/kAdd/kGet, keys preloaded, later-inserted and brand
+  // new, with the GC watermark off and trailing the commit CSN.
+  for (bool live_watermark : {false, true}) {
+    std::mt19937_64 rng(live_watermark ? 11 : 7);
+    std::vector<Key> keys = NumberedKeys(200);
+    KvStore hinted;
+    for (int i = 0; i < 100; ++i) hinted.Put(keys[static_cast<size_t>(i)], "1");
+    KvStore plain = hinted;
+    int64_t watermark = 0;
+    const int64_t kCommits = 1500;
+    for (int64_t csn = 1; csn <= kCommits; ++csn) {
+      std::vector<Op> ops;
+      int count = 1 + static_cast<int>(rng() % 3);
+      for (int i = 0; i < count; ++i) {
+        Key key;
+        if (rng() % 10 == 0) {
+          key = "new" + std::to_string(csn) + "_" + std::to_string(i);
+          keys.push_back(key);
+        } else {
+          key = keys[rng() % 200];
+        }
+        switch (rng() % 3) {
+          case 0:
+            ops.push_back(Transaction::Put(key, std::to_string(rng() % 100)));
+            break;
+          case 1:
+            ops.push_back(
+                Transaction::Add(key, static_cast<int64_t>(rng() % 9) - 4));
+            break;
+          default:
+            ops.push_back(Transaction::Get(key));
+            break;
+        }
+      }
+      if (live_watermark) {
+        watermark = std::max(watermark, csn - static_cast<int64_t>(rng() % 6));
+      }
+      std::vector<uint32_t> tags;
+      for (const Op& op : ops) tags.push_back(hinted.PrefetchSlot(op.key));
+      for (uint32_t tag : tags) hinted.PrefetchEntry(tag);
+      for (size_t i = 0; i < ops.size(); ++i) {
+        hinted.Apply(ops[i], tags[i], csn, watermark);
+        plain.Apply(ops[i], csn, watermark);
+      }
+      if (csn % 500 == 0) ExpectSameStore(hinted, plain, keys, csn);
+    }
+    EXPECT_GT(hinted.size(), 200u);
+    if (live_watermark) {
+      EXPECT_GT(hinted.total_versions(), static_cast<int64_t>(hinted.size()));
+    }
+  }
+}
+
 // ---------------------------------------------------------- LockManager --
 
 TEST(LockManagerTest, SharedLocksCoexist) {
@@ -200,6 +355,25 @@ TEST(ParticipantTest, PrepareVotesYesAndStagesWrites) {
   EXPECT_EQ(p.store().GetInt("a"), 0) << "writes must not apply before commit";
   p.Finish(1, commit::Decision::kCommit);
   EXPECT_EQ(p.store().GetInt("a"), 10);
+}
+
+TEST(ParticipantTest, PrefetchedCommitAppliesStagedWrites) {
+  Participant p(0);
+  p.store().Put("a", "5");
+  p.PrefetchFinish(1);  // nothing staged yet: a no-op
+  std::vector<Op> ops = {Transaction::Add("a", 10), Transaction::Get("b"),
+                         Transaction::Put("c", "7")};
+  EXPECT_EQ(p.Prepare(1, ops), commit::Vote::kYes);
+  p.CheckInvariants();  // the staged tags are the keys' own
+  p.PrefetchFinish(1);
+  EXPECT_EQ(p.store().GetInt("a"), 5) << "a hint must not apply anything";
+  p.Finish(1, commit::Decision::kCommit, /*csn=*/3);
+  p.PrefetchFinish(1);  // finished: a no-op again
+  EXPECT_EQ(p.store().GetInt("a"), 15);
+  EXPECT_EQ(p.store().Get("c"), "7");
+  EXPECT_FALSE(p.store().Get("b").has_value());
+  EXPECT_EQ(p.store().versions("a"), 2);
+  p.CheckInvariants();
 }
 
 TEST(ParticipantTest, AbortDiscardsStagedWrites) {
